@@ -60,8 +60,9 @@
 ///                       unless the partitioned opt stage is >= 1.5x the
 ///                       sequential one (and equivalent). Run on a multi-core
 ///                       machine — a single hardware thread cannot pass.
-///   --physics           additionally runs a full flow + the pulse-level
-///                       physics oracle (verify/physics_check.hpp) on each
+///   --physics           additionally runs the default T1 flow (optimizer
+///                       and pass guard on) + the pulse-level physics
+///                       oracle (verify/physics_check.hpp) on each
 ///                       random-family point and emits a separate record with
 ///                       physics_* metrics; an oracle failure fails the run.
 ///   --physics-smoke     CI gate: one 10k-gate random flow (opt 1 round,
@@ -80,6 +81,7 @@
 #include "benchmarks/arith.hpp"
 #include "benchmarks/random_net.hpp"
 #include "benchmarks/record.hpp"
+#include "core/api.hpp"
 #include "core/flow.hpp"
 #include "core/phase_assignment.hpp"
 #include "core/t1_detection.hpp"
@@ -501,14 +503,15 @@ int main(int argc, char** argv) {
         records.push_back(std::move(rec));
       }
 
-      // Sampled physics validation: a full flow (opt off — the sweep above
-      // already measured it) through the pulse-level oracle on the random
-      // family, emitted as its own record so the physics_* metrics enter the
-      // trajectory without touching the race records.
+      // Sampled physics validation: the default T1 flow (optimizer and its
+      // pass guard on) through the pulse-level oracle on the random family,
+      // emitted as its own record so the physics_* metrics enter the
+      // trajectory without touching the race records. The record's label is
+      // the request's own configuration signature.
       if (physics && net.name().rfind("rand", 0) == 0) {
         obs::Registry::instance().reset();
-        FlowParams fp;
-        fp.use_t1 = true;
+        const FlowRequest req = FlowRequest::Builder(net).optimize(true).build();
+        const FlowParams fp = req.to_flow_params();
         const FlowResult fres = run_flow(net, fp);
         const auto pt0 = std::chrono::steady_clock::now();
         const auto report =
@@ -528,7 +531,7 @@ int main(int argc, char** argv) {
         if (emit) {
           bench::BenchRecord prec;
           prec.circuit = net.name();
-          prec.config = "physics 4phi t1 opt=off";
+          prec.config = "physics " + req.config_signature();
           prec.metrics = {
               {"physics_ok", report.ok ? 1 : 0},
               {"physics_vectors", static_cast<int64_t>(report.vectors)},

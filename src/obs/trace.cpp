@@ -43,10 +43,13 @@ Collector& collector() {
 }
 
 /// Writes T1SFQ_TRACE_FILE at process exit when the environment asked for a
-/// trace. Destructor order is safe: collector() outlives this (constructed
-/// earlier via the reference below).
+/// trace. Statics are destroyed in reverse order of construction, so both
+/// function-local statics the export reads (the span collector and the
+/// metrics registry behind the histogram summaries) are constructed here,
+/// before this object, and are still alive when its destructor runs.
 struct EnvTraceFlusher {
-  Collector& keep_alive = collector();
+  Collector& keep_collector = collector();
+  Registry& keep_registry = Registry::instance();
   ~EnvTraceFlusher() {
     const char* path = std::getenv("T1SFQ_TRACE_FILE");
     if (path == nullptr || path[0] == '\0' || !env_trace_requested()) {

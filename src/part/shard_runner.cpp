@@ -7,7 +7,6 @@
 #include "benchmarks/runner.hpp"
 #include "incr/incremental_view.hpp"
 #include "network/equivalence.hpp"
-#include "network/simulation.hpp"
 #include "obs/trace.hpp"
 #include "part/partitioner.hpp"
 
@@ -89,36 +88,11 @@ void run_shard(const Network& net, const Region& region, std::size_t index,
 
   if (sampled && out.applied > 0) {
     out.sat_checked = true;
-    // Word-parallel simulation falsifies over *all* outputs; the SAT proof
-    // then covers a strided sample of at most 64 output miters. Shards on
-    // sink-heavy families export most of their members, and a full
-    // per-output proof would cost more than the optimization it validates.
-    out.rejected = !random_simulation_equal(s.sub, before, /*rounds=*/8);
-    if (!out.rejected) {
-      SatSolver solver;
-      std::vector<Lit> pi_lits;
-      const auto la = encode_network(s.sub, solver, pi_lits);
-      const auto lb = encode_network(before, solver, pi_lits);
-      const std::size_t n = s.sub.num_pos();
-      const std::size_t stride = std::max<std::size_t>(1, n / 64);
-      for (std::size_t p = 0; p < n; p += stride) {
-        const Lit ya = la[s.sub.po(p)];
-        const Lit yb = lb[before.po(p)];
-        const Lit diff = pos_lit(solver.new_var());
-        solver.add_clause({negate(diff), ya, yb});
-        solver.add_clause({negate(diff), negate(ya), negate(yb)});
-        solver.add_clause({diff, negate(ya), yb});
-        solver.add_clause({diff, ya, negate(yb)});
-        const SatResult r = solver.solve({diff}, params.verify_conflict_budget);
-        if (r == SatResult::Sat) {
-          out.rejected = true;
-          break;
-        }
-        if (r == SatResult::Unknown) {
-          break;  // budget exhausted: inconclusive, never a rejection
-        }
-      }
-    }
+    // Random simulation, then the swept miter over every output. Unknown
+    // (budget exhausted) is inconclusive, never a rejection.
+    out.rejected = check_equivalence(s.sub, before, /*sim_rounds=*/8,
+                                     params.verify_conflict_budget)
+                       .result == EquivalenceResult::NotEquivalent;
   }
   out.shard = std::move(s);
 }

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "benchmarks/random_net.hpp"
 #include "network/simulation.hpp"
+#include "obs/metrics.hpp"
 
 namespace t1sfq {
 namespace {
@@ -148,6 +152,171 @@ TEST(Equivalence, MediumAdderCompletesQuickly) {
   const Network b = maj_adder(16);
   const auto r = check_equivalence(a, b);
   EXPECT_EQ(r.result, EquivalenceResult::Equivalent);
+}
+
+/// Builds one output from three PIs.
+using OutputBuilder = std::function<NodeId(Network&, NodeId, NodeId, NodeId)>;
+
+OutputBuilder gate(GateType type) {
+  return [type](Network& n, NodeId x, NodeId y, NodeId z) {
+    std::vector<NodeId> fanins{x, y, z};
+    fanins.resize(gate_arity(type));
+    return n.add_gate(type, fanins);
+  };
+}
+
+OutputBuilder t1_port(T1PortFn fn) {
+  return [fn](Network& n, NodeId x, NodeId y, NodeId z) {
+    return n.add_t1_port(n.add_t1(x, y, z), fn);
+  };
+}
+
+OutputBuilder inverted(OutputBuilder inner) {
+  return [inner](Network& n, NodeId x, NodeId y, NodeId z) {
+    return n.add_not(inner(n, x, y, z));
+  };
+}
+
+EquivalenceResult check_outputs(const OutputBuilder& fa, const OutputBuilder& fb) {
+  Network a, b;
+  const NodeId a0 = a.add_pi(), a1 = a.add_pi(), a2 = a.add_pi();
+  const NodeId b0 = b.add_pi(), b1 = b.add_pi(), b2 = b.add_pi();
+  a.add_po(fa(a, a0, a1, a2));
+  b.add_po(fb(b, b0, b1, b2));
+  return check_equivalence_sat(a, b).result;
+}
+
+/// A cell against an inverter on its dual cell, and the T1 inverted ports
+/// against their gate-level counterparts.
+TEST(Equivalence, PolarityAndDeMorganVariantsAreEquivalent) {
+  const auto equivalent = EquivalenceResult::Equivalent;
+  EXPECT_EQ(check_outputs(gate(GateType::Nand2), inverted(gate(GateType::And2))), equivalent);
+  EXPECT_EQ(check_outputs(gate(GateType::Or2), inverted(gate(GateType::Nor2))), equivalent);
+  EXPECT_EQ(check_outputs(gate(GateType::Xnor2), inverted(gate(GateType::Xor2))), equivalent);
+  EXPECT_EQ(check_outputs(t1_port(T1PortFn::CarryN), inverted(gate(GateType::Maj3))), equivalent);
+  EXPECT_EQ(check_outputs(t1_port(T1PortFn::OrN), inverted(gate(GateType::Or3))), equivalent);
+  // A genuine polarity error is still caught.
+  EXPECT_EQ(check_outputs(t1_port(T1PortFn::CarryN), gate(GateType::Maj3)),
+            EquivalenceResult::NotEquivalent);
+}
+
+/// XOR(g, y) against OR(g, y) with g a 24-input AND over mixed polarities:
+/// the two differ on the single minterm g = y = 1, which random words (and the
+/// all-0/all-1 corners) never hit. The OR node's signature matches a-side
+/// literals it is not equal to, so the sweep's Sat answers must leave it
+/// unmerged and the output miter must still find the minterm.
+TEST(Equivalence, SweepSatPathFindsRareMinterm) {
+  const auto build = [](bool use_or) {
+    Network net;
+    std::vector<NodeId> x;
+    for (int i = 0; i < 24; ++i) x.push_back(net.add_pi());
+    const NodeId y = net.add_pi();
+    NodeId g = net.get_const1();
+    for (int i = 0; i < 24; ++i) {
+      g = net.add_and(g, i % 2 ? net.add_not(x[i]) : x[i]);
+    }
+    net.add_po(use_or ? net.add_or(g, y) : net.add_xor(g, y));
+    return net;
+  };
+  const Network a = build(false);
+  const Network b = build(true);
+  ASSERT_TRUE(random_simulation_equal(a, b, 16));
+
+  obs::Registry::instance().reset();
+  obs::ScopedEnable on(true);
+  const auto r = check_equivalence_sat(a, b);
+  ASSERT_EQ(r.result, EquivalenceResult::NotEquivalent);
+  ASSERT_EQ(r.counterexample.size(), a.num_pis());
+  EXPECT_NE(simulate(a, r.counterexample)[r.failing_output],
+            simulate(b, r.counterexample)[r.failing_output]);
+  for (int i = 0; i < 25; ++i) {
+    EXPECT_EQ(r.counterexample[i], i == 24 || i % 2 == 0) << "input " << i;
+  }
+  // Sweep pairs were tried (and refuted) before the one output miter.
+  EXPECT_GT(obs::Registry::instance().counter("equiv.sat_calls"), 1u);
+  EXPECT_EQ(obs::Registry::instance().counter("equiv.sweep.merged"), 0u);
+  EXPECT_EQ(obs::Registry::instance().counter("equiv.po.strashed"), 0u);
+}
+
+/// Copy of \p src with gate \p victim (an And2 or Or2) edited: swapped for
+/// its dual cell (`flip`), or re-expressed through XOR/XNOR cells with the
+/// same function, `NOT(XNOR(OR(x, y), XOR(x, y)))` for AND and
+/// `NOT(XNOR(XOR(x, y), AND(x, y)))` for OR. The XNOR is 1 on the all-zero
+/// input, so proving it exercises the sweep's complemented merges.
+Network edit_gate(const Network& src, NodeId victim, bool flip) {
+  Network out(src.name());
+  std::vector<NodeId> map(src.size(), kNullNode);
+  for (std::size_t i = 0; i < src.num_pis(); ++i) map[src.pi(i)] = out.add_pi();
+  for (const NodeId id : src.topo_order()) {
+    const Node& n = src.node(id);
+    std::vector<NodeId> fanins;
+    for (unsigned i = 0; i < n.num_fanins; ++i) fanins.push_back(map[n.fanin(i)]);
+    const bool is_and = n.type == GateType::And2;
+    switch (n.type) {
+      case GateType::Pi: break;
+      case GateType::Const0: map[id] = out.get_const0(); break;
+      case GateType::Const1: map[id] = out.get_const1(); break;
+      case GateType::T1: map[id] = out.add_t1(fanins[0], fanins[1], fanins[2]); break;
+      case GateType::T1Port: map[id] = out.add_t1_port(fanins[0], n.port); break;
+      default:
+        if (id != victim) {
+          map[id] = out.add_raw_gate(n.type, fanins);
+        } else if (flip) {
+          map[id] = out.add_raw_gate(is_and ? GateType::Or2 : GateType::And2, fanins);
+        } else {
+          const NodeId x = fanins[0], y = fanins[1];
+          const NodeId parity = out.add_xor(x, y);
+          const NodeId other = is_and ? out.add_or(x, y) : out.add_and(x, y);
+          map[id] = out.add_not(out.add_xnor(other, parity));
+        }
+    }
+  }
+  for (const NodeId po : src.pos()) out.add_po(map[po]);
+  return out;
+}
+
+/// Fixed-seed property: a random network against itself with its deepest
+/// AND/OR gate edited. A flipped gate's verdict must agree with simulation
+/// (exhaustive over 12 inputs, random words over 40), and every
+/// counterexample must reproduce the difference at the reported output. A
+/// restructured gate keeps the function, so the verdict must be Equivalent.
+TEST(Equivalence, DeepGateEditsAgreeWithSimulation) {
+  unsigned refuted = 0;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    const bool exhaustive = seed % 2 == 0;
+    const Network a =
+        bench::random_network(seed, exhaustive ? 12 : 40, exhaustive ? 150 : 600);
+    const auto level = a.levels();
+    NodeId victim = kNullNode;
+    for (const NodeId id : a.topo_order()) {
+      const GateType t = a.node(id).type;
+      if ((t == GateType::And2 || t == GateType::Or2) &&
+          (victim == kNullNode || level[id] > level[victim])) {
+        victim = id;
+      }
+    }
+    ASSERT_NE(victim, kNullNode) << "seed " << seed;
+    EXPECT_EQ(check_equivalence_sat(a, edit_gate(a, victim, false)).result,
+              EquivalenceResult::Equivalent)
+        << "seed " << seed;
+
+    const Network b = edit_gate(a, victim, true);
+    const bool sim_equal = exhaustive ? simulate_truth_tables(a) == simulate_truth_tables(b)
+                                      : random_simulation_equal(a, b, 16, seed);
+    const auto r = check_equivalence_sat(a, b);
+    ASSERT_NE(r.result, EquivalenceResult::Unknown) << "seed " << seed;
+    if (exhaustive || !sim_equal) {
+      EXPECT_EQ(r.result == EquivalenceResult::Equivalent, sim_equal) << "seed " << seed;
+    }
+    if (r.result == EquivalenceResult::NotEquivalent) {
+      ++refuted;
+      ASSERT_EQ(r.counterexample.size(), a.num_pis());
+      EXPECT_NE(simulate(a, r.counterexample)[r.failing_output],
+                simulate(b, r.counterexample)[r.failing_output])
+          << "seed " << seed;
+    }
+  }
+  EXPECT_GT(refuted, 0u);
 }
 
 }  // namespace

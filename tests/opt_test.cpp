@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "benchmarks/arith.hpp"
+#include "benchmarks/suite.hpp"
 #include "core/flow.hpp"
 #include "core/report.hpp"
 #include "network/equivalence.hpp"
@@ -411,6 +412,24 @@ TEST(PassManager, StandardPipelineRecordsStats) {
     }
   }
   EXPECT_EQ(check_equivalence(net, golden).result, EquivalenceResult::Equivalent);
+}
+
+TEST(PassManager, GuardProvesEveryPassOnVoter) {
+  // The shrink-4 voter's passes rewrite hundreds of majority cones; the swept
+  // miter closes every one of them within the default budget.
+  for (const auto& c : bench::make_suite_scaled(4)) {
+    if (c.name != "voter") continue;
+    const FlowResult res = run_flow(c.generate(), FlowParams{});
+    std::size_t applied_passes = 0;
+    for (const PassStats& ps : res.opt.passes) {
+      if (ps.applied == 0) continue;
+      ++applied_passes;
+      EXPECT_EQ(ps.verdict, PassVerdict::Proved) << ps.name << " round " << ps.round;
+    }
+    EXPECT_GT(applied_passes, 0u);
+    return;
+  }
+  FAIL() << "voter missing from the scaled suite";
 }
 
 TEST(PassManager, DisabledIsANoop) {
