@@ -16,8 +16,11 @@
 ///           [--ratio-floor F] [--quality-tol F] [--top N]
 ///       Gates the current run against the rolling history: metrics exact
 ///       against the latest row, ratios against max(floor, frac * median of
-///       the last K), coverage against the latest commit. Ratio failures
-///       carry counter-level attribution. Exits 1 on regression.
+///       the last K), the deterministic work counters of
+///       `obs::kGatedCounters` against +10% of the latest row, coverage
+///       against the latest commit. Ratio and counter failures carry
+///       counter-level attribution. Exits 1 on regression. This is the CI
+///       trajectory gate.
 ///   compare --base <commit> --target <commit> [--quality-tol F]
 ///           [--ratio-frac F] [--ratio-floor F]
 ///       Diffs the rows recorded at two commits (prefix match on the hash):
@@ -33,11 +36,11 @@
 ///       stdout when --out is omitted.
 ///
 /// The default database is ./bench_history.jsonl; --db overrides. Exit
-/// codes: 0 ok, 1 regression / failed check, 2 usage or I/O error.
+/// codes: 0 ok, 1 regression / failed check, 2 usage (unknown flag,
+/// missing or malformed value) or I/O error.
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -47,6 +50,7 @@
 #include <string>
 #include <vector>
 
+#include "benchmarks/argparse.hpp"
 #include "obs/resultdb.hpp"
 
 using namespace t1sfq;
@@ -207,7 +211,8 @@ int cmd_gate(const obs::ResultDb& db, const std::vector<std::string>& files,
               << "\n";
   }
   std::cout << "checked " << report.checked_metrics << " metric(s), "
-            << report.checked_ratios << " ratio(s)";
+            << report.checked_ratios << " ratio(s), " << report.checked_counters
+            << " counter(s)";
   if (report.ungated_new > 0) {
     std::cout << ", " << report.ungated_new << " new record(s) without history";
   }
@@ -394,40 +399,27 @@ int main(int argc, char** argv) {
   std::vector<std::string> files;
   obs::GateOptions gate_opts;
   obs::ReportOptions report_opts;
-  for (int i = 2; i < argc; ++i) {
-    const auto flag = [&](const char* name) {
-      return std::strcmp(argv[i], name) == 0 && i + 1 < argc;
-    };
-    if (flag("--db")) {
-      db_path = argv[++i];
-    } else if (flag("--bench")) {
-      bench_filter = argv[++i];
-    } else if (flag("--circuit")) {
-      circuit_filter = argv[++i];
-    } else if (flag("--from") || flag("--current")) {
-      files.push_back(argv[++i]);
-    } else if (flag("--base")) {
-      base = argv[++i];
-    } else if (flag("--target")) {
-      target = argv[++i];
-    } else if (flag("--last-k")) {
-      gate_opts.last_k = std::stoul(argv[++i]);
-      report_opts.last_k = gate_opts.last_k;
-    } else if (flag("--ratio-frac")) {
-      gate_opts.ratio_frac = std::stod(argv[++i]);
-    } else if (flag("--ratio-floor")) {
-      gate_opts.ratio_floor = std::stod(argv[++i]);
-    } else if (flag("--quality-tol")) {
-      gate_opts.quality_tol = std::stod(argv[++i]);
-    } else if (flag("--top")) {
-      gate_opts.explain_top = std::stoul(argv[++i]);
-    } else if (flag("--out")) {
-      out_md = argv[++i];
-    } else if (flag("--html")) {
-      out_html = argv[++i];
-    } else {
-      return usage();
-    }
+  bench::ArgParser args("dbtool " + cmd);
+  args.string_opt("--db", &db_path, "path", "result database")
+      .string_opt("--bench", &bench_filter, "B", "list: bench filter")
+      .string_opt("--circuit", &circuit_filter, "C", "list: circuit filter")
+      .repeated_string("--from", &files, "bench.json", "append: bench-v1 document")
+      .repeated_string("--current", &files, "bench.json", "bench-v1 doc of this run")
+      .string_opt("--base", &base, "commit", "reference commit")
+      .string_opt("--target", &target, "commit", "compared commit")
+      .size_opt("--last-k", &report_opts.last_k, "N", "ratio window / report entries")
+      .double_opt("--ratio-frac", &gate_opts.ratio_frac, "F", "ratio band fraction")
+      .double_opt("--ratio-floor", &gate_opts.ratio_floor, "F", "absolute ratio floor")
+      .double_opt("--quality-tol", &gate_opts.quality_tol, "F", "relative metric tol")
+      .size_opt("--top", &gate_opts.explain_top, "N", "counter deltas shown")
+      .string_opt("--out", &out_md, "file.md", "report: markdown output")
+      .string_opt("--html", &out_html, "file.html", "report: HTML output");
+  // argv[1] is the command; flags start after it.
+  if (!args.parse(argc - 1, argv + 1)) {
+    return usage();
+  }
+  if (report_opts.last_k > 0) {
+    gate_opts.last_k = report_opts.last_k;  // one window for gate and report
   }
 
   if (cmd == "append") {

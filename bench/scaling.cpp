@@ -1,25 +1,22 @@
 /// \file scaling.cpp
-/// \brief Measures the near-linear claim of the incremental analysis layer
-/// (src/incr/) instead of asserting it.
+/// \brief Scaling sweep of the incremental engine (src/incr/): wall time and
+/// deterministic work counters per stage, from 1k to 50k gates.
 ///
-/// For random and arithmetic networks from 1k to 50k gates, the optimization
-/// pipeline (cut rewriting -> balancing -> resubstitution) and T1 detection
-/// run twice on identical inputs:
-///   * incremental — analysis state delta-maintained by `IncrementalView`
-///     (`OptParams::incremental`, `T1DetectionParams::incremental_estimate`),
-///   * legacy     — the historical full-recompute discipline (O(n) refresh
-///     per commit, O(n) copy-sweep-plan probe per detection candidate),
-/// and the table reports wall time per stage plus the end-to-end speedup.
-/// Both paths execute the same decision logic, so the results are asserted
-/// identical (gates, depth, T1 cells, unified-JJ estimate) — a mismatch
-/// fails the run.
+/// For random and arithmetic networks, each point runs the optimization
+/// pipeline (cut rewriting -> balancing -> resubstitution, one round, guard
+/// off), one T1 detection round and phase assignment once, all through the
+/// delta-maintained `IncrementalView`. The near-linear claim is gated by the
+/// work counters each record carries (`incr.stage_relaxations`,
+/// `incr.full_rebuilds`, `sched.nodes_evaluated`, ...; see
+/// `obs::kGatedCounters`), which are host-independent: a maintenance path
+/// that falls back to rebuilds or re-evaluates every node moves them on any
+/// machine. Wall times ride along ungated.
 ///
-/// Phase assignment is raced separately on the post-detection network of each
-/// point: the view-seeded incremental scheduler
-/// (`PhaseAssignmentParams::incremental`) against the legacy full-sweep
-/// coordinate descent, with the resulting schedules asserted bit-identical
-/// (stages, sink, DFF estimate) — the incremental engine is an evaluation-
-/// skipping optimization, never an approximation.
+/// The view-seeded incremental scheduler's schedule is asserted bit-identical
+/// (stages, sink, DFF estimate) to the reference full sweep
+/// (`PhaseAssignmentParams::incremental = false`), untimed and outside the
+/// record's counters: the incremental engine is an evaluation-skipping
+/// optimization, never an approximation.
 ///
 /// The random family carries planted shareable cones (full-adder-shaped
 /// groups meeting the 2-cuts-per-group floor, chained like ripple carries),
@@ -33,23 +30,20 @@
 /// bounded budget — only a proven NotEquivalent fails), and the shard-level
 /// sampled SAT checks must report zero rejections.
 ///
-/// Usage: scaling [--points g1,g2,...] [--max-legacy-gates N] [--smoke]
+/// Usage: scaling [--points g1,g2,...] [--smoke]
 ///                [--json <path>] [--db <path>] [--part] [--part-jobs N]
 ///                [--part-smoke] [--physics] [--physics-smoke]
 ///   --points            gate counts to sweep (default 1000,5000,10000,20000,50000;
 ///                       with --part: 20000,50000,200000)
-///   --max-legacy-gates  skip the legacy path above this size (default 20000;
-///                       the legacy flow is quadratic — 50k points take minutes)
 ///   --smoke             CI mode: only the 10k-gate pair (plus a 10k
 ///                       partition-race record on the random family). The
 ///                       identity and convert-something assertions still
-///                       hard-fail; the speedup trajectory is gated by CI
-///                       against the committed result history
-///                       (bench_history.jsonl, rolling median) via
-///                       scripts/check_bench_regression.py --db.
+///                       hard-fail; metrics and work counters are gated by
+///                       CI against the committed result history
+///                       (bench_history.jsonl) via `dbtool gate`.
 ///   --json <path>       write one machine-readable record per circuit
-///                       (metrics, per-stage wall times, speedup ratios, obs
-///                       counters); also enables the obs registry/spans.
+///                       (metrics, per-stage wall times, obs counters); also
+///                       enables the obs registry/spans.
 ///   --db <path>         append the same records to the append-only result DB,
 ///                       stamped with commit/branch/build/host (also enables
 ///                       the obs registry; see src/obs/resultdb.hpp).
@@ -124,72 +118,31 @@ struct StageTimes {
   uint32_t depth = 0;
   std::size_t t1_used = 0;
   uint64_t estimate_jj = 0;
-  double total() const { return opt_ms + det_ms; }
 };
 
-/// Phase-assignment race on one (post-detection) network: the view-seeded
-/// incremental scheduler vs the legacy full sweep, schedules asserted
-/// bit-identical.
-struct PaRace {
-  double inc_ms = 0;
-  double leg_ms = 0;
-  bool identical = true;
-  double speedup() const { return leg_ms / std::max(inc_ms, 0.1); }
-};
-
-PaRace race_assignment(const Network& net) {
-  using clock = std::chrono::steady_clock;
-  PhaseAssignmentParams pp;
-  pp.clk = MultiphaseConfig{4};
-
-  // Untimed warm-up so the first timed engine does not also pay the
-  // first-touch cost of the post-detection network (which would bias the
-  // speedup the CI gate reads).
-  pp.incremental = true;
-  assign_phases(net, pp);
-
-  pp.incremental = false;
-  auto t0 = clock::now();
-  const PhaseAssignment legacy = assign_phases(net, pp);
-  auto t1 = clock::now();
-
-  pp.incremental = true;
-  const PhaseAssignment incr = assign_phases(net, pp);
-  auto t2 = clock::now();
-
-  PaRace r;
-  r.leg_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  r.inc_ms = std::chrono::duration<double, std::milli>(t2 - t1).count();
-  r.identical = incr.stage == legacy.stage &&
-                incr.output_stage == legacy.output_stage &&
-                incr.estimated_dffs == legacy.estimated_dffs;
-  return r;
-}
-
-StageTimes run_once(const Network& input, bool incremental, Network* final_net = nullptr) {
+/// Optimization (1 round, guard off) and detection (1 round) on a swept copy
+/// of \p input; the post-detection network lands in \p final_net.
+StageTimes run_once(const Network& input, Network& final_net) {
   using clock = std::chrono::steady_clock;
   const CostModel model(CellLibrary{}, AreaConfig{}, MultiphaseConfig{4});
-  // Sweep PO-unreachable generator junk so both engines price the same
-  // circuit (the legacy guard measures swept probes, the incremental one the
-  // live set — see the guard comment in t1_detection.cpp).
+  // Sweep PO-unreachable generator junk so the record prices the circuit,
+  // not the generator's leftovers.
   Network net = input;
   net.sweep_dangling();
   net = net.cleanup();
 
   OptParams op;
-  op.incremental = incremental;
-  op.verify = false;  // the pass-level SAT miter costs the same on both paths
+  op.verify = false;  // the SAT guard's cost is not what this sweep measures
   op.rounds = 1;      // one pipeline round keeps the sweep time-bounded
   auto t0 = clock::now();
   optimize(net, op);
   auto t1 = clock::now();
 
   T1DetectionParams det;
-  det.incremental_estimate = incremental;
   det.max_rounds = 1;
-  // This bench compares maintenance disciplines on identical decision
-  // streams; the schedule-aware rescue only exists on the incremental path,
-  // so it is pinned off for the comparison.
+  // The schedule-aware rescue runs a second, counterfactual detection per
+  // call; pinned off so the record tracks the ASAP-guard decision stream its
+  // history was recorded with.
   det.schedule_aware_guard = false;
   const auto stats = detect_and_replace_t1(net, model, det);
   auto t2 = clock::now();
@@ -201,9 +154,7 @@ StageTimes run_once(const Network& input, bool incremental, Network* final_net =
   r.depth = net.depth();
   r.t1_used = stats.used;
   r.estimate_jj = model.network_breakdown(net).total();
-  if (final_net) {
-    *final_net = std::move(net);
-  }
+  final_net = std::move(net);
   return r;
 }
 
@@ -353,7 +304,6 @@ int run_physics_smoke() {
 
 int main(int argc, char** argv) {
   std::vector<unsigned> points{1000, 5000, 10000, 20000, 50000};
-  unsigned max_legacy = 20000;
   bool smoke = false;
   bool part_mode = false;
   bool part_smoke = false;
@@ -366,8 +316,6 @@ int main(int argc, char** argv) {
   std::vector<unsigned> points_arg;
   bench::ArgParser args("bench_scaling");
   args.uint_list("--points", &points_arg, "g1,g2,...", "gate counts to sweep")
-      .uint_opt("--max-legacy-gates", &max_legacy, "N",
-                "largest point the legacy path still runs")
       .flag("--smoke", &smoke, "small fixed points for CI")
       .string_opt("--json", &json_path, "path", "write records as JSON")
       .string_opt("--db", &db_path, "path", "append records to result DB")
@@ -400,20 +348,17 @@ int main(int argc, char** argv) {
   }
   if (smoke) {
     points = {10000};
-    max_legacy = 10000;
   }
   // Records want the obs counters (enabled above); the default stdout run
-  // stays uninstrumented so the timed race measures exactly what the library
+  // stays uninstrumented so the timings measure exactly what the library
   // ships.
   std::vector<bench::BenchRecord> records;
 
   std::cout << "Incremental-view scaling (opt 1 round + detection 1 round + phase "
                "assignment, 4 phases)\n";
   std::cout << std::setw(14) << "circuit" << std::setw(8) << "gates" << std::setw(11)
-            << "opt(inc)" << std::setw(11) << "opt(leg)" << std::setw(11) << "det(inc)"
-            << std::setw(11) << "det(leg)" << std::setw(10) << "pa(inc)" << std::setw(10)
-            << "pa(leg)" << std::setw(7) << "T1" << std::setw(10) << "speedup"
-            << std::setw(9) << "pa-spd" << "\n";
+            << "opt" << std::setw(11) << "det" << std::setw(11) << "assign"
+            << std::setw(7) << "T1" << "\n";
 
   bool ok = true;
   for (const unsigned n : points) {
@@ -424,7 +369,7 @@ int main(int argc, char** argv) {
       // Per-circuit counters: the registry restarts empty for each record.
       obs::Registry::instance().reset();
       Network final_net;
-      const StageTimes inc = run_once(net, /*incremental=*/true, &final_net);
+      const StageTimes inc = run_once(net, final_net);
       // The planted-cone generator exists so detection has something to
       // convert on the random family; a convert-nothing run means the
       // planting (or detection) regressed.
@@ -433,75 +378,41 @@ int main(int argc, char** argv) {
                   << " — detection no longer exercises this family.\n";
         ok = false;
       }
-      // Race the schedulers on the shared post-detection network; identical
-      // schedules are part of the incremental engine's contract.
-      const PaRace pa = race_assignment(final_net);
-      if (!pa.identical) {
-        std::cout << "MISMATCH on " << net.name()
-                  << ": incremental and legacy phase assignment diverge.\n";
-        ok = false;
-      }
+      PhaseAssignmentParams pp;
+      pp.clk = MultiphaseConfig{4};
+      const auto pa0 = std::chrono::steady_clock::now();
+      const PhaseAssignment incr = assign_phases(final_net, pp);
+      const double pa_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - pa0)
+                               .count();
+
       bench::BenchRecord rec;
       rec.circuit = net.name();
-      rec.config = "4phi opt=1round det=1round race=inc-vs-legacy";
+      rec.config = "4phi opt=1round det=1round";
       rec.metrics = {{"gates", static_cast<int64_t>(inc.gates)},
                      {"depth", static_cast<int64_t>(inc.depth)},
                      {"t1_used", static_cast<int64_t>(inc.t1_used)},
                      {"estimate_jj", static_cast<int64_t>(inc.estimate_jj)}};
-      rec.time_ms = {{"opt_inc", inc.opt_ms},
-                     {"det_inc", inc.det_ms},
-                     {"pa_inc", pa.inc_ms},
-                     {"pa_leg", pa.leg_ms}};
-
-      std::cout << std::setw(14) << net.name() << std::setw(8) << net.num_gates()
-                << std::setw(11) << std::fixed << std::setprecision(1) << inc.opt_ms;
-      if (net.num_gates() <= max_legacy) {
-        const StageTimes leg = run_once(net, /*incremental=*/false);
-        if (inc.gates != leg.gates || inc.depth != leg.depth ||
-            inc.t1_used != leg.t1_used || inc.estimate_jj != leg.estimate_jj) {
-          std::cout << "\nMISMATCH on " << net.name() << ": incremental ("
-                    << inc.gates << "g/" << inc.depth << "d/" << inc.t1_used
-                    << "T1/" << inc.estimate_jj << "JJ) vs legacy (" << leg.gates
-                    << "g/" << leg.depth << "d/" << leg.t1_used << "T1/"
-                    << leg.estimate_jj << "JJ)\n";
-          ok = false;
-        }
-        // Trajectory gating happens in CI: the comparator checks these ratios
-        // against the committed snapshot with a tolerance band, replacing the
-        // old hard-coded ">= 1.5x" exits.
-        const double speedup =
-            (leg.total() + pa.leg_ms) / std::max(inc.total() + pa.inc_ms, 0.1);
-        rec.time_ms.push_back({"opt_leg", leg.opt_ms});
-        rec.time_ms.push_back({"det_leg", leg.det_ms});
-        rec.ratios.push_back({"end_to_end_speedup", speedup});
-        // The PA ratio is only meaningful on the random family: its
-        // slack-rich DAGs are the scheduler's real workload. The fused
-        // adder's schedule is already converged at ASAP — both engines
-        // finish in ~2 ms there and the ratio is timer noise, on any
-        // machine. The schedule-identity assert above still runs on every
-        // circuit.
-        if (net.name().rfind("rand", 0) == 0) {
-          rec.ratios.push_back({"pa_speedup", pa.speedup()});
-        }
-        std::cout << std::setw(11) << leg.opt_ms << std::setw(11) << inc.det_ms
-                  << std::setw(11) << leg.det_ms << std::setw(10) << pa.inc_ms
-                  << std::setw(10) << pa.leg_ms << std::setw(7) << inc.t1_used
-                  << std::setw(9) << std::setprecision(1) << speedup << "x"
-                  << std::setw(8) << pa.speedup() << "x\n";
-      } else {
-        // Not a silent cap: the legacy opt/detection flow is quadratic and
-        // skipped here (the assignment race still runs — it is near-linear
-        // on both engines).
-        std::cout << std::setw(11) << "-" << std::setw(11) << inc.det_ms
-                  << std::setw(11) << "-" << std::setw(10) << pa.inc_ms
-                  << std::setw(10) << pa.leg_ms << std::setw(7) << inc.t1_used
-                  << std::setw(10) << "(legacy skipped)" << std::setw(8)
-                  << std::setprecision(1) << pa.speedup() << "x\n";
-      }
+      rec.time_ms = {{"opt", inc.opt_ms}, {"det", inc.det_ms}, {"assign", pa_ms}};
       if (emit) {
-        bench::capture_counters(rec);
+        bench::capture_counters(rec);  // before the reference sweep's work
         records.push_back(std::move(rec));
       }
+
+      // Identical schedules are part of the incremental engine's contract:
+      // the reference full sweep runs untimed, after the counters are taken.
+      pp.incremental = false;
+      const PhaseAssignment ref = assign_phases(final_net, pp);
+      if (incr.stage != ref.stage || incr.output_stage != ref.output_stage ||
+          incr.estimated_dffs != ref.estimated_dffs) {
+        std::cout << "MISMATCH on " << net.name()
+                  << ": incremental and reference phase assignment diverge.\n";
+        ok = false;
+      }
+      std::cout << std::setw(14) << net.name() << std::setw(8) << net.num_gates()
+                << std::setw(11) << std::fixed << std::setprecision(1) << inc.opt_ms
+                << std::setw(11) << inc.det_ms << std::setw(11) << pa_ms
+                << std::setw(7) << inc.t1_used << "\n";
 
       // Sampled physics validation: the default T1 flow (optimizer and its
       // pass guard on) through the pulse-level oracle on the random family,
@@ -578,8 +489,8 @@ int main(int argc, char** argv) {
     }
   }
   if (!ok) {
-    std::cout << "\nFAIL: incremental and legacy paths disagree (or detection "
-                 "converted nothing).\n";
+    std::cout << "\nFAIL: incremental and reference schedules disagree, detection "
+                 "converted nothing, or an oracle failed.\n";
     return 1;
   }
   if (!bench::emit_records(json_path, db_path, "scaling", records)) {

@@ -2,11 +2,27 @@
 
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 namespace t1sfq::bench {
 
 namespace {
+
+/// std::stoull accepts a leading '-' and wraps it ("-1" -> 2^64 - 1), and a
+/// narrowing cast would wrap values past T's range: both are malformed here.
+template <typename T>
+T to_unsigned(const std::string& text, std::size_t* used) {
+  if (text.find('-') != std::string::npos) {
+    throw std::invalid_argument("negative");
+  }
+  const unsigned long long value = std::stoull(text, used);
+  if (value > std::numeric_limits<T>::max()) {
+    throw std::out_of_range("too large");
+  }
+  return static_cast<T>(value);
+}
 
 template <typename T, typename Conv>
 std::function<bool(const std::string&)> numeric(T* out, Conv conv) {
@@ -47,26 +63,17 @@ ArgParser& ArgParser::preset(const char* name, unsigned* out, unsigned value,
 
 ArgParser& ArgParser::uint_opt(const char* name, unsigned* out, const char* metavar,
                                const char* help) {
-  return add_({name, true, metavar, help,
-               numeric(out, [](const std::string& s, std::size_t* used) {
-                 return static_cast<unsigned>(std::stoul(s, used));
-               })});
+  return add_({name, true, metavar, help, numeric(out, to_unsigned<unsigned>)});
 }
 
 ArgParser& ArgParser::u64_opt(const char* name, uint64_t* out, const char* metavar,
                               const char* help) {
-  return add_({name, true, metavar, help,
-               numeric(out, [](const std::string& s, std::size_t* used) {
-                 return static_cast<uint64_t>(std::stoull(s, used));
-               })});
+  return add_({name, true, metavar, help, numeric(out, to_unsigned<uint64_t>)});
 }
 
 ArgParser& ArgParser::size_opt(const char* name, std::size_t* out, const char* metavar,
                                const char* help) {
-  return add_({name, true, metavar, help,
-               numeric(out, [](const std::string& s, std::size_t* used) {
-                 return static_cast<std::size_t>(std::stoull(s, used));
-               })});
+  return add_({name, true, metavar, help, numeric(out, to_unsigned<std::size_t>)});
 }
 
 ArgParser& ArgParser::double_opt(const char* name, double* out, const char* metavar,
@@ -85,6 +92,14 @@ ArgParser& ArgParser::string_opt(const char* name, std::string* out,
                }});
 }
 
+ArgParser& ArgParser::repeated_string(const char* name, std::vector<std::string>* out,
+                                      const char* metavar, const char* help) {
+  return add_({name, true, metavar, help, [out](const std::string& text) {
+                 out->push_back(text);
+                 return true;
+               }});
+}
+
 ArgParser& ArgParser::uint_list(const char* name, std::vector<unsigned>* out,
                                 const char* metavar, const char* help) {
   return add_({name, true, metavar, help, [out](const std::string& text) {
@@ -94,7 +109,7 @@ ArgParser& ArgParser::uint_list(const char* name, std::vector<unsigned>* out,
                  while (std::getline(ss, item, ',')) {
                    try {
                      std::size_t used = 0;
-                     values.push_back(static_cast<unsigned>(std::stoul(item, &used)));
+                     values.push_back(to_unsigned<unsigned>(item, &used));
                      if (used != item.size()) return false;
                    } catch (const std::exception&) {
                      return false;

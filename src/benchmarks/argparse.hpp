@@ -44,6 +44,9 @@ class ArgParser {
                         const char* help);
   ArgParser& string_opt(const char* name, std::string* out, const char* metavar,
                         const char* help);
+  /// Repeatable string option: every occurrence appends its value to *out.
+  ArgParser& repeated_string(const char* name, std::vector<std::string>* out,
+                             const char* metavar, const char* help);
   /// Comma-separated unsigned list (e.g. `--points 1000,2000,5000`);
   /// replaces *out entirely when the flag is present.
   ArgParser& uint_list(const char* name, std::vector<unsigned>* out,

@@ -16,16 +16,18 @@
 ///         "metrics":  { ... },        // deterministic quality numbers
 ///         "time_ms":  { ... },        // wall times, never regression-gated
 ///         "ratios":   { ... },        // speedups, gated with tolerance bands
-///         "counters": { ... }         // obs registry values, informational
+///         "counters": { ... }         // obs registry values
 ///       }, ...
 ///     ]
 ///   }
 ///
-/// The split drives `scripts/check_bench_regression.py`: `metrics` must match
-/// the committed snapshot (quality is deterministic), `ratios` must stay
-/// within a tolerance band of it, `time_ms`/`counters` are reported but never
-/// gated (absolute times depend on the machine). Committed snapshots live at
-/// the repo root (`BENCH_scaling.json`, `BENCH_table1.json`).
+/// The split drives `dbtool gate` (obs::gate_against_history) against the
+/// committed result history (`bench_history.jsonl`): `metrics` must match the
+/// latest row (quality is deterministic), `ratios` must stay within a band of
+/// the rolling median, the deterministic work counters of
+/// `obs::kGatedCounters` may not grow past their bound, and `time_ms` plus
+/// every other counter are reported but never gated (absolute times depend on
+/// the machine).
 
 #include <cstdint>
 #include <string>

@@ -71,20 +71,13 @@ FlowResult run_flow(const Network& input, const FlowParams& params) {
   // final compaction (instead of letting it die there), so the scheduler
   // starts from maintained stages/slack rather than a fresh O(n) build.
   std::optional<IncrementalView> shared_view;
-  const bool share_view = params.use_t1 && params.detection.incremental_estimate &&
-                          params.incremental_assignment;
   if (params.use_t1) {
     obs::Span span("flow.detect", "gates_in",
                    static_cast<int64_t>(result.mapped.num_gates()));
     const Clock::time_point t0 = Clock::now();
-    T1DetectionStats det;
-    if (share_view) {
-      shared_view.emplace(result.mapped, model, /*track_plan=*/true);
-      det = detect_and_replace_t1(result.mapped, model, params.detection,
-                                  &*shared_view);
-    } else {
-      det = detect_and_replace_t1(result.mapped, model, params.detection);
-    }
+    shared_view.emplace(result.mapped, model, /*track_plan=*/true);
+    const T1DetectionStats det = detect_and_replace_t1(
+        result.mapped, model, params.detection, &*shared_view);
     result.metrics.t1_found = det.found;
     result.metrics.t1_used = det.used;  // detection compacts the network itself
     result.timings.detect_ms = ms_since(t0);
@@ -101,7 +94,6 @@ FlowResult run_flow(const Network& input, const FlowParams& params) {
   // With a shared view the scheduler is seeded from the maintained state the
   // detection stage hands over; otherwise it computes its own ASAP/slack seed
   // (the view-seeded overload produces the identical result, pinned by test).
-  pp.incremental = params.incremental_assignment;
   {
     obs::Span span("flow.assign", "gates_in",
                    static_cast<int64_t>(result.mapped.num_gates()));

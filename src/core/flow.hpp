@@ -35,9 +35,6 @@ struct FlowParams {
   /// Latency slack for a min-area mode: extra stages granted to the balanced
   /// output sink (see PhaseAssignmentParams::output_slack).
   Stage output_slack = 0;
-  /// View-seeded incremental phase assignment (identical schedules to the
-  /// legacy full-sweep scheduler; see PhaseAssignmentParams::incremental).
-  bool incremental_assignment = true;
   CellLibrary lib{};
   AreaConfig area{};
   T1DetectionParams detection{};
@@ -89,8 +86,8 @@ struct FlowMetrics {
 };
 
 /// Per-stage wall-clock times (steady_clock). Kept OUT of FlowMetrics on
-/// purpose: golden tests and incremental-vs-legacy identity assertions
-/// compare FlowMetrics byte-for-byte, and timing must never participate.
+/// purpose: golden tests and identity assertions compare FlowMetrics
+/// byte-for-byte, and timing must never participate.
 struct FlowTimings {
   double cleanup_ms = 0.0;
   double opt_ms = 0.0;

@@ -22,7 +22,7 @@
 ///     decision inputs a committed move actually touched — the
 ///     ScheduleRefiner machinery (incr/schedule_refiner.hpp) generalized from
 ///     a guard-local tool into the flow scheduler. Identical schedules to the
-///     legacy full sweep (pinned by tests and asserted in bench/scaling),
+///     reference full sweep (pinned by tests and asserted in bench/scaling),
 ///     near-linear instead of O(n·sweeps);
 ///   * `ExactMilp` — the ILP of the paper (per-driver max objective,
 ///     assignment binaries for the T1 slot permutation) solved by the
@@ -51,9 +51,10 @@ struct PhaseAssignmentParams {
   /// scheduler may slide whole subgraphs later so spines shorten.
   Stage output_slack = 0;
   /// Incremental (slack-seeded, dirty-worklist) coordinate descent. The
-  /// schedule is identical to the legacy full sweep — only provably
-  /// no-change evaluations are skipped; false keeps the legacy full-sweep
-  /// scheduler reachable for the scaling comparison (bench/scaling.cpp).
+  /// schedule is identical to the full sweep — only provably no-change
+  /// evaluations are skipped. false runs the reference full sweep that the
+  /// tests and bench/scaling.cpp's identity assert compare against; no flow
+  /// path sets it.
   bool incremental = true;
 };
 

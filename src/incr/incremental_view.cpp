@@ -419,10 +419,6 @@ void IncrementalView::propagate() {
 
 void IncrementalView::finish_commit() {
   ++stats_.edits;
-  if (full_recompute_) {
-    rebuild();  // the legacy O(n)-per-commit path bench/scaling measures
-    return;
-  }
   propagate();
 }
 
@@ -706,7 +702,7 @@ void IncrementalView::kill_dangling_from(NodeId from) {
   sync();
   // One batched retraction: edges come out as each node dies (keeping the
   // fanout counts the fixpoint loop reads current), and the views settle
-  // once at the end — a single rebuild in legacy mode, one propagation here.
+  // once at the end with one propagation.
   bool any = false;
   bool again = true;
   while (again) {
@@ -821,7 +817,7 @@ void IncrementalView::drain_alap() const {
 const std::vector<Stage>& IncrementalView::alap_stages() const {
   if (!alap_valid_) {
     ++stats_.alap_full_relax;
-    // Full reverse relaxation (initial state, legacy rebuilds, output-stage
+    // Full reverse relaxation (initial state, rebuilds, output-stage
     // changes): one reverse-topo pass settles every live node.
     alap_.assign(net_.size(), 0);
     auto order = net_.topo_order();

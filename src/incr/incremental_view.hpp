@@ -40,10 +40,6 @@
 ///                          propagation (drained lazily on query), so
 ///                          `slack(id) = alap(id) - stage(id)` is cheap inside
 ///                          passes.
-///
-/// `set_full_recompute(true)` keeps the exact same query API but services
-/// every edit with a from-scratch rebuild — the legacy-complexity path, kept
-/// so the near-linear claim stays measurable instead of asserted.
 
 #include <cstdint>
 #include <vector>
@@ -62,7 +58,7 @@ struct ViewStats {
   uint64_t stage_relaxations = 0;  ///< dirty nodes drained by propagate()
   uint64_t alap_relaxations = 0;   ///< dirty nodes drained by drain_alap()
   uint64_t alap_full_relax = 0;    ///< full reverse-topo ALAP recomputes
-  uint64_t full_rebuilds = 0;      ///< rebuild() calls (ctor + legacy commits)
+  uint64_t full_rebuilds = 0;      ///< rebuild() calls after construction
   uint64_t rebinds = 0;            ///< rebind_after_cleanup() translations
 };
 
@@ -84,10 +80,6 @@ public:
   Network& net() { return net_; }
   const Network& net() const { return net_; }
   const CostModel& model() const { return model_; }
-
-  /// Legacy-complexity mode: every edit rebuilds all state from scratch
-  /// (identical results, O(n) per edit). For the scaling comparison only.
-  void set_full_recompute(bool on) { full_recompute_ = on; }
 
   // -- Queries (all O(1) / O(degree)) -----------------------------------------
 
@@ -201,8 +193,9 @@ public:
   /// roll a rejected candidate back.
   void revive_cone(const std::vector<NodeId>& cone);
 
-  /// Full rebuild of every view from the network (the legacy path; also the
-  /// reference the property test compares incremental maintenance against).
+  /// Full rebuild of every view from the network (what a freshly constructed
+  /// view holds; detection falls back to it when a sweep or a result swap
+  /// invalidates the maintained state).
   void rebuild();
 
   /// Survives a `net = net.cleanup(&old_to_new)` compaction: translates every
@@ -226,9 +219,7 @@ private:
   void touch_spine_around(NodeId id);
   void mark_spine_dirty(NodeId key);
   void propagate();
-  /// Settles a commit-like edit: dirty-set propagation normally, a full
-  /// rebuild in legacy mode (mirroring the historical refresh-per-commit;
-  /// sync() stays incremental in both modes, like the old extend()).
+  /// Settles a commit-like edit by dirty-set propagation.
   void finish_commit();
   void recompute_output_stage();
   Stage compute_stage(NodeId id) const;
@@ -239,7 +230,6 @@ private:
   Network& net_;
   CostModel model_;
   bool track_plan_ = false;
-  bool full_recompute_ = false;
 
   std::vector<Stage> stage_;
   std::vector<uint32_t> fanout_;
@@ -270,7 +260,7 @@ private:
   int64_t split_edges_excess_ = 0;      ///< sum of max(0, split_fanout-1)
 
   // ALAP state: `alap_valid_ == false` forces a full reverse relaxation on the
-  // next query (initial state, legacy rebuilds, output-stage changes); between
+  // next query (initial state, rebuilds, output-stage changes); between
   // full recomputes the worklist carries exactly the nodes whose consumer
   // edges or ASAP clamp changed, drained lazily on query.
   mutable std::vector<Stage> alap_;

@@ -488,6 +488,28 @@ GateReport gate_against_history(const ResultDb& history,
              true});
       }
     }
+
+    // The registry never records a zero delta, so an absent counter reads 0:
+    // a rebuild counter that was 0 in history and fires now must still fail.
+    for (const std::string_view name : kGatedCounters) {
+      const int64_t* ref_val = ref.counter(name);
+      const int64_t* cur_val = row.counter(name);
+      if (ref_val == nullptr && cur_val == nullptr) {
+        continue;
+      }
+      ++rep.checked_counters;
+      const int64_t rv = ref_val ? *ref_val : 0;
+      const int64_t cv = cur_val ? *cur_val : 0;
+      const double bound = static_cast<double>(rv) * (1.0 + kCounterGrowthBound);
+      if (static_cast<double>(cv) > bound) {
+        rep.findings.push_back(
+            {label, "counter " + std::string(name) + " = " + std::to_string(cv) +
+                        ", history " + std::to_string(rv) + " @" + ref.stamp.commit +
+                        " (bound +" + fmt_double(kCounterGrowthBound * 100.0) + "%)" +
+                        attribution_text(ref, row, opts.explain_top),
+             true});
+      }
+    }
   }
   return rep;
 }

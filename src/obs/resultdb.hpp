@@ -15,12 +15,11 @@
 /// cannot take the whole history hostage.
 ///
 /// Consumers: `bench/dbtool.cpp` (list / append / compare / gate / explain /
-/// report), `scripts/check_bench_regression.py --db` (the CI gate, same
-/// semantics re-implemented in python so CI does not need the binary to
-/// diagnose a build break), and every flow bench's `--db` flag (via
-/// `bench::append_records_to_db`). See docs/OBSERVABILITY.md, "Result DB &
-/// trajectory gating".
+/// report; `dbtool gate` is the CI trajectory gate) and every flow bench's
+/// `--db` flag (via `bench::append_records_to_db`). See
+/// docs/OBSERVABILITY.md, "Result DB & trajectory gating".
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <ostream>
@@ -83,8 +82,7 @@ ResultDb load_result_db(const std::string& path);
 /// false on I/O failure.
 bool append_result_rows(const std::string& path, const std::vector<ResultRow>& rows);
 
-/// Join identity — same key as the snapshot comparator: (bench, circuit,
-/// config_hash).
+/// Join identity: (bench, circuit, config_hash).
 struct RowKey {
   std::string bench;
   std::string circuit;
@@ -107,6 +105,19 @@ std::optional<std::vector<ResultRow>> rows_from_bench_json(std::string_view text
 // Trajectory gate
 // ---------------------------------------------------------------------------
 
+/// Deterministic work counters the gate bounds. They count algorithmic work,
+/// not time, so they are bit-stable across hosts and commits: a complexity
+/// regression (an incremental view falling back to rebuilds, a scheduler
+/// re-evaluating every node, a guard issuing more SAT calls) moves them on
+/// any machine, where wall-time ratios on shared CI cannot tell.
+inline constexpr std::array<std::string_view, 6> kGatedCounters = {
+    "incr.stage_relaxations", "incr.full_rebuilds",     "sched.nodes_evaluated",
+    "detect.candidates",      "opt.rewrite.candidates", "equiv.sat_calls"};
+/// A gated counter fails once it exceeds the reference row by this fraction.
+/// An absent counter reads 0 (the registry records no zero delta), and a
+/// reference of 0 admits no growth. Decreases always pass.
+inline constexpr double kCounterGrowthBound = 0.10;
+
 struct GateOptions {
   std::size_t last_k = 5;     ///< rolling window for the ratio median
   double ratio_frac = 0.5;    ///< current >= frac * median(last_k)
@@ -125,6 +136,7 @@ struct GateReport {
   std::vector<GateFinding> findings;  ///< failures and ungated-new notes
   std::size_t checked_metrics = 0;
   std::size_t checked_ratios = 0;
+  std::size_t checked_counters = 0;
   std::size_t ungated_new = 0;  ///< current records with no history yet
   bool ok() const;
 };
@@ -132,9 +144,12 @@ struct GateReport {
 /// Gates \p current against the rolling history: quality metrics must match
 /// the latest row for the key exactly (within quality_tol), every ratio the
 /// reference row carries must satisfy `current >= max(floor, frac * median)`
-/// over the last_k rows, and every key present at the history's latest commit
-/// (per bench) must appear in the current run (coverage loss fails). Ratio
-/// failures carry counter-level attribution against the reference row.
+/// over the last_k rows, every `kGatedCounters` entry either row carries
+/// must stay within `(1 + kCounterGrowthBound) * reference`, and every
+/// key present at the history's latest commit (per bench) must appear in the
+/// current run (coverage loss fails). Ratio and counter failures carry
+/// counter-level attribution against the reference row; every other counter
+/// (`cost.disk_cache.*`, histogram `*_us` entries, ...) is informational.
 GateReport gate_against_history(const ResultDb& history,
                                 const std::vector<ResultRow>& current,
                                 const GateOptions& opts);

@@ -110,7 +110,6 @@ std::size_t BalancingPass::run(Network& net) {
   // commits keep them fresh at affected-cone cost (previously three full
   // recomputes per commit).
   IncrementalView view(net, model);
-  view.set_full_recompute(!params_.incremental);
   std::size_t applied = 0;
 
   for (const NodeId root : net.topo_order()) {

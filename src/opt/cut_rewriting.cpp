@@ -26,10 +26,8 @@ std::size_t CutRewritingPass::run(Network& net) {
   const std::vector<CutSet> cuts = enumerate_cuts(net, cp);
 
   // All analysis state lives in the incremental view: commits land through
-  // `view.replace` and only the affected cone is re-derived (the legacy flag
-  // services every commit with a full rebuild instead).
+  // `view.replace` and only the affected cone is re-derived.
   IncrementalView view(net, params_.cost());
-  view.set_full_recompute(!params_.incremental);
   CostDelta cd(view);
   // Roots committed earlier in this sweep become dangling; cuts of downstream
   // nodes may still name them as leaves, so leaf references are chased to

@@ -44,12 +44,6 @@ struct OptParams {
   unsigned sim_words = 8;        ///< resub signature words (64 patterns each)
   uint64_t sat_conflict_budget = 20000;  ///< per resubstitution proof
   bool verify = true;            ///< pass-level equivalence guard (revert on failure)
-  /// Maintain analysis state (fanouts, levels, consumer lists, spines)
-  /// incrementally through `IncrementalView` as commits land — update cost
-  /// proportional to the affected cone. False services every commit with a
-  /// full O(n) recompute instead (identical results; the legacy-complexity
-  /// path bench/scaling.cpp measures against).
-  bool incremental = true;
   /// Conflict cap for the pass-level SAT guard; 0 = unlimited. Random
   /// simulation always runs in full, so a budget-out can only ever keep a
   /// change whose transforms were already individually proven.

@@ -45,7 +45,6 @@ std::size_t ResubstitutionPass::run(Network& net) {
   // shared-spine DFF model, all through the incremental evaluator. Commits
   // land through the view; no O(n) refresh per commit.
   IncrementalView view(net, params_.cost());
-  view.set_full_recompute(!params_.incremental);
   CostDelta cd(view);
 
   // Word-parallel signatures: `words` 64-bit words per node. The first word

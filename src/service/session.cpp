@@ -169,8 +169,8 @@ void EcoSession::establish_(const FlowRequest& request, FlowResponse& resp) {
                                  &*state_->view);
     tm.detect_ms = ms_since(t1);
   } else {
-    // View-seeded assignment is pinned identical to the legacy scheduler, so
-    // the no-T1 session path may share the code below.
+    // View-seeded assignment is pinned identical to the from-scratch
+    // scheduler, so the no-T1 session path may share the code below.
     state_->view.emplace(state_->mapped, state_->model, /*track_plan=*/true);
   }
   metrics.t1_found = det_.found;
@@ -329,7 +329,6 @@ void EcoSession::finish_flow_(const Network& golden, FlowMetrics metrics,
   pp.max_sweeps = params_.max_sweeps;
   pp.milp_max_nodes = params_.milp_max_nodes;
   pp.output_slack = params_.output_slack;
-  pp.incremental = params_.incremental_assignment;
   const Clock::time_point t0 = Clock::now();
   const PhaseAssignment assignment = assign_phases(*state_->view, pp);
   tm.assign_ms = ms_since(t0);

@@ -5,9 +5,8 @@
 /// rendered report.
 ///
 /// Everything here drives the same obs::resultdb API that bench/dbtool.cpp
-/// and the `--db` flag of the bench drivers wrap, so a green suite means the
-/// CI gate's C++ side behaves; scripts/test_check_bench_regression.sh covers
-/// the python re-implementation with the same cases.
+/// and the `--db` flag of the bench drivers wrap; scripts/test_dbtool_gate.sh
+/// (ctest `dbtool_gate_cli`) drives the built `dbtool gate` CLI end to end.
 
 #include <gtest/gtest.h>
 
@@ -292,6 +291,71 @@ TEST_F(ResultDbTest, GateNewKeyIsUngatedNote) {
   EXPECT_EQ(rep.ungated_new, 1u);
   ASSERT_EQ(rep.findings.size(), 1u);
   EXPECT_FALSE(rep.findings[0].failure);
+}
+
+TEST_F(ResultDbTest, GateBoundsWorkCountersAndNamesTheGrownOne) {
+  obs::ResultDb db;
+  obs::ResultRow ref = make_row("b", "c", "cfg", "c1", 3.0);
+  ref.counters = {{"incr.stage_relaxations", 1000}, {"incr.full_rebuilds", 0}};
+  db.rows = {ref};
+
+  obs::ResultRow cur = make_row("b", "c", "cfg", "cur", 3.0);
+  cur.counters = {{"incr.stage_relaxations", 1100}, {"incr.full_rebuilds", 0}};
+  obs::GateReport rep = obs::gate_against_history(db, {cur}, {});
+  EXPECT_TRUE(rep.ok()) << "growth up to the bound passes";
+  EXPECT_EQ(rep.checked_counters, 2u);
+
+  cur.counters = {{"incr.stage_relaxations", 1000}, {"incr.full_rebuilds", 1}};
+  rep = obs::gate_against_history(db, {cur}, {});
+  EXPECT_FALSE(rep.ok()) << "a zero reference admits no growth";
+  ASSERT_EQ(rep.findings.size(), 1u);
+  EXPECT_NE(rep.findings[0].message.find("counter incr.full_rebuilds = 1, history 0"),
+            std::string::npos)
+      << rep.findings[0].message;
+
+  // An absent counter reads 0: growth from an unrecorded reference fails,
+  // a counter that stops firing is a decrease.
+  db.rows[0].counters = {{"incr.stage_relaxations", 1000}};
+  rep = obs::gate_against_history(db, {cur}, {});
+  EXPECT_FALSE(rep.ok());
+  EXPECT_EQ(rep.checked_counters, 2u);
+  cur.counters = {};
+  rep = obs::gate_against_history(db, {cur}, {});
+  EXPECT_TRUE(rep.ok());
+}
+
+TEST_F(ResultDbTest, GateCounterDecreasePasses) {
+  obs::ResultDb db;
+  obs::ResultRow ref = make_row("b", "c", "cfg", "c1", 3.0);
+  ref.counters = {{"sched.nodes_evaluated", 5000}, {"equiv.sat_calls", 40}};
+  db.rows = {ref};
+  obs::ResultRow cur = make_row("b", "c", "cfg", "cur", 3.0);
+  cur.counters = {{"sched.nodes_evaluated", 12}, {"equiv.sat_calls", 0}};
+  const obs::GateReport rep = obs::gate_against_history(db, {cur}, {});
+  EXPECT_TRUE(rep.ok());
+  EXPECT_EQ(rep.checked_counters, 2u);
+}
+
+TEST_F(ResultDbTest, GateNeverGatesDiskCacheOrHistogramCounters) {
+  obs::ResultDb db;
+  obs::ResultRow ref = make_row("b", "c", "cfg", "c1", 3.0);
+  ref.counters = {{"cost.disk_cache.misses", 0},
+                  {"cost.disk_cache.bytes_written", 0},
+                  {"opt.verify.sum_us", 10},
+                  {"detect.round.p99_us", 10}};
+  db.rows = {ref};
+  obs::ResultRow cur = make_row("b", "c", "cfg", "cur", 3.0);
+  cur.counters = {{"cost.disk_cache.misses", 7},
+                  {"cost.disk_cache.bytes_written", 1 << 20},
+                  {"opt.verify.sum_us", 100000},
+                  {"detect.round.p99_us", 100000}};
+  const obs::GateReport rep = obs::gate_against_history(db, {cur}, {});
+  EXPECT_TRUE(rep.ok());
+  EXPECT_EQ(rep.checked_counters, 0u);
+  for (const std::string_view name : obs::kGatedCounters) {
+    EXPECT_NE(name.rfind("cost.disk_cache.", 0), 0u) << name;
+    EXPECT_FALSE(name.size() >= 3 && name.substr(name.size() - 3) == "_us") << name;
+  }
 }
 
 TEST_F(ResultDbTest, AttributionRanksLargeMovesFirst) {
