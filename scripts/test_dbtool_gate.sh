@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Drives the built `dbtool gate` (the CI trajectory gate) over a synthetic
 # result history: pass, metric drift, coverage loss, a gated work counter
-# grown past its bound, a ratio regression with counter attribution, a
-# corrupt history line, and malformed flag values (usage, exit 2).
+# grown past its bound or vanished, a ratio regression with counter
+# attribution, a corrupt history line, and malformed flag values (usage,
+# exit 2).
 #
 # Usage: test_dbtool_gate.sh <path/to/dbtool>  (exit 0 = all cases behave)
 set -u
@@ -94,6 +95,12 @@ doc 100 3.2 1200 116 > "$TMP/work.json"
 gate "$TMP/db.jsonl" "$TMP/work.json"
 expect counter_growth 1 $?
 expect_text counter_growth "counter incr.stage_relaxations = 1200, history 1000"
+
+# 5b. A gated counter the latest row carries vanished -> fail, named.
+doc 100 3.2 1000 116 | sed 's/"incr.full_rebuilds": 0,//' > "$TMP/unhooked.json"
+gate "$TMP/db.jsonl" "$TMP/unhooked.json"
+expect counter_vanished 1 $?
+expect_text counter_vanished "counter incr.full_rebuilds missing"
 
 # 6. Ratio below max(floor, 0.5 * median) -> fail, with counter attribution.
 doc 100 0.9 1000 5000 > "$TMP/slow.json"

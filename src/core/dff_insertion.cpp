@@ -18,6 +18,7 @@ public:
     out_.net.set_name(net.name());
     out_.output_stage = pa.output_stage;
     out_.node_map.assign(net.size(), kNullNode);
+    spines_.resize(net.size());
   }
 
   PhysicalNetlist run() {
@@ -62,9 +63,9 @@ private:
     }
     auto& chain = spines_[d];
     while (static_cast<Stage>(chain.size()) < i) {
-      const NodeId prev = chain.empty() ? out_.node_map[d] : chain.back();
+      one_[0] = chain.empty() ? out_.node_map[d] : chain.back();
       const Stage s = stage_of_(d) + n_ * (static_cast<Stage>(chain.size()) + 1);
-      chain.push_back(new_with_stage_(out_.net.add_raw_gate(GateType::Dff, {prev}), s));
+      chain.push_back(new_with_stage_(out_.net.add_raw_gate(GateType::Dff, one_), s));
     }
     return chain[i - 1];
   }
@@ -96,8 +97,8 @@ private:
     if (it != landings_.end()) {
       return it->second;
     }
-    const NodeId base = spine_(d, gap / n_);
-    const NodeId dff = new_with_stage_(out_.net.add_raw_gate(GateType::Dff, {base}), t);
+    one_[0] = spine_(d, gap / n_);
+    const NodeId dff = new_with_stage_(out_.net.add_raw_gate(GateType::Dff, one_), t);
     landings_[key] = dff;
     return dff;
   }
@@ -143,13 +144,13 @@ private:
         break;
       }
       default: {
-        std::vector<NodeId> feeds;
+        feeds_.clear();
         for (uint8_t i = 0; i < node.num_fanins; ++i) {
           const NodeId pin = driver_key(net_, node.fanin(i));
-          feeds.push_back(feed_from_spine_(pin, stage_of_(id)));
+          feeds_.push_back(feed_from_spine_(pin, stage_of_(id)));
         }
         out_.node_map[id] =
-            new_with_stage_(out_.net.add_raw_gate(node.type, feeds), stage_of_(id));
+            new_with_stage_(out_.net.add_raw_gate(node.type, feeds_), stage_of_(id));
       }
     }
   }
@@ -160,8 +161,12 @@ private:
   Stage n_;
   InsertionPlan plan_;
   PhysicalNetlist out_;
-  std::map<NodeId, std::vector<NodeId>> spines_;
+  /// Spine DFF chain per driver pin (indexed by NodeId), grown on demand.
+  std::vector<std::vector<NodeId>> spines_;
   std::map<std::pair<NodeId, Stage>, NodeId> landings_;
+  /// Fanin scratch for add_raw_gate, reused so a gate costs no allocation.
+  std::vector<NodeId> one_ = std::vector<NodeId>(1);
+  std::vector<NodeId> feeds_;
 };
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "incr/incremental_view.hpp"
 #include "obs/metrics.hpp"
@@ -212,22 +213,26 @@ Stage sched_local_lower_bound(const Network& net, const std::vector<Stage>& stag
 Stage sched_t1_max_input_stage(const Network& net, const std::vector<Stage>& stage,
                                NodeId j, NodeId u) {
   const Node& body = net.node(j);
-  std::vector<Stage> others;
+  std::array<Stage, 3> others;
+  std::size_t num_others = 0;
   for (unsigned i = 0; i < 3; ++i) {
     const NodeId d = resolve_producer(net, body.fanin(i));
     if (d != u) {
-      others.push_back(stage[d]);
+      others[num_others++] = stage[d];
     }
   }
   const Stage sj = stage[j];
   const auto feasible = [&](Stage x) {
-    std::vector<Stage> s = others;
-    s.push_back(x);
+    std::array<Stage, 4> s;
+    std::copy(others.begin(), others.begin() + num_others, s.begin());
     // Fanins from the same driver appear once in `others`; pad with x.
-    while (s.size() < 3) {
-      s.push_back(x);
+    const std::size_t len = std::max<std::size_t>(num_others + 1, 3);
+    std::fill(s.begin() + num_others, s.begin() + len, x);
+    for (std::size_t a = 1; a < len; ++a) {  // insertion sort of <= 4 stages
+      for (std::size_t b = a; b > 0 && s[b] < s[b - 1]; --b) {
+        std::swap(s[b], s[b - 1]);
+      }
     }
-    std::sort(s.begin(), s.end());
     return sj >= std::max({s[0] + 3, s[1] + 2, s[2] + 1});
   };
   for (Stage x = sj - 1; x >= sj - 3; --x) {
@@ -240,6 +245,28 @@ Stage sched_t1_max_input_stage(const Network& net, const std::vector<Stage>& sta
 
 namespace {
 
+/// One list per node, all in one array: list v is items[offset[v], offset[v+1]).
+struct NodeLists {
+  std::vector<uint32_t> offset;
+  std::vector<NodeId> items;
+
+  std::span<const NodeId> operator[](NodeId v) const {
+    return {items.data() + offset[v], items.data() + offset[v + 1]};
+  }
+
+  /// Builds the lists from \p emit(add), which must call add(v, item) in the
+  /// same sequence twice (a counting pass, then a filling pass).
+  template <typename Emit>
+  void build(std::size_t size, Emit&& emit) {
+    offset.assign(size + 1, 0);
+    emit([&](NodeId v, NodeId) { ++offset[v + 1]; });
+    for (std::size_t v = 0; v < size; ++v) offset[v + 1] += offset[v];
+    items.resize(offset[size]);
+    std::vector<uint32_t> cursor(offset.begin(), offset.end() - 1);
+    emit([&](NodeId v, NodeId item) { items[cursor[v]++] = item; });
+  }
+};
+
 /// Scheduling context: consumer lists per physical pin (driver_key), plus the
 /// pin list of every scheduled element.
 struct SchedContext {
@@ -247,38 +274,68 @@ struct SchedContext {
   MultiphaseConfig clk;
   Stage output_stage;
   /// Consumers (clocked element ids) per pin; kNullNode marks the sink.
-  std::vector<std::vector<NodeId>> consumers;
+  NodeLists consumers;
   /// Pins owned by each scheduled element (itself, or its T1 ports).
-  std::vector<std::vector<NodeId>> pins;
+  NodeLists pins;
 
   SchedContext(const Network& n, const MultiphaseConfig& c, Stage out)
-      : net(n), clk(c), output_stage(out), consumers(n.size()), pins(n.size()) {
-    for (const NodeId id : net.topo_order()) {
-      const Node& node = net.node(id);
-      switch (node.type) {
-        case GateType::T1Port:
-          pins[resolve_producer(net, id)].push_back(id);  // pin of its body
-          break;
-        case GateType::T1:
-          break;  // pins are the ports, collected above
-        case GateType::Buf:
-          break;  // transparent
-        default:
-          pins[id].push_back(id);  // gates, DFFs, PIs, constants: one pin
-      }
-      if (is_scheduled(node.type)) {
-        for (uint8_t i = 0; i < node.num_fanins; ++i) {
-          consumers[driver_key(net, node.fanin(i))].push_back(id);
+      : net(n), clk(c), output_stage(out) {
+    const std::vector<NodeId> order = net.topo_order();
+    pins.build(net.size(), [&](auto&& add) {
+      for (const NodeId id : order) {
+        switch (net.node(id).type) {
+          case GateType::T1Port:
+            add(resolve_producer(net, id), id);  // pin of its body
+            break;
+          case GateType::T1:
+            break;  // pins are the ports, collected above
+          case GateType::Buf:
+            break;  // transparent
+          default:
+            add(id, id);  // gates, DFFs, PIs, constants: one pin
         }
       }
-    }
-    for (const NodeId po : net.pos()) {
-      consumers[driver_key(net, po)].push_back(kNullNode);
-    }
+    });
+    consumers.build(net.size(), [&](auto&& add) {
+      for (const NodeId id : order) {
+        const Node& node = net.node(id);
+        if (is_scheduled(node.type)) {
+          for (uint8_t i = 0; i < node.num_fanins; ++i) {
+            add(driver_key(net, node.fanin(i)), id);
+          }
+        }
+      }
+      for (const NodeId po : net.pos()) {
+        add(driver_key(net, po), kNullNode);
+      }
+    });
   }
 
   Stage stage_of(const std::vector<Stage>& stage, NodeId key) const {
     return stage[resolve_producer(net, key)];
+  }
+
+  /// Spine DFFs consumer \p j (kNullNode: the sink) asks of pin \p key whose
+  /// producer sits at \p sd.
+  Stage spine_demand(const std::vector<Stage>& stage, NodeId key, Stage sd, NodeId j) const {
+    if (j == kNullNode) {
+      return clk.dffs_on_edge(sd, output_stage);
+    }
+    if (net.node(j).type != GateType::T1) {
+      return clk.dffs_on_edge(sd, stage[j]);
+    }
+    const Stage n = static_cast<Stage>(clk.phases);
+    const auto slots = t1_slot_perm(net, stage, j, n);
+    const Node& body = net.node(j);
+    Stage req = 0;
+    for (unsigned i = 0; i < 3; ++i) {
+      if (driver_key(net, body.fanin(i)) != key) continue;
+      const Stage t = stage[j] - slots[i];
+      if (t > sd) {
+        req = std::max(req, (t - sd) / n);  // spine part only
+      }
+    }
+    return req;
   }
 
   /// Exact spine length of pin `key` under the current stages.
@@ -286,25 +343,10 @@ struct SchedContext {
     if (is_const(net, resolve_producer(net, key))) {
       return 0;
     }
-    const Stage n = static_cast<Stage>(clk.phases);
     const Stage sd = stage_of(stage, key);
     Stage req = 0;
     for (const NodeId j : consumers[key]) {
-      if (j == kNullNode) {
-        req = std::max(req, clk.dffs_on_edge(sd, output_stage));
-      } else if (net.node(j).type == GateType::T1) {
-        const auto slots = t1_slot_perm(net, stage, j, n);
-        const Node& body = net.node(j);
-        for (unsigned i = 0; i < 3; ++i) {
-          if (driver_key(net, body.fanin(i)) != key) continue;
-          const Stage t = stage[j] - slots[i];
-          if (t > sd) {
-            req = std::max(req, (t - sd) / n);  // spine part only
-          }
-        }
-      } else {
-        req = std::max(req, clk.dffs_on_edge(sd, stage[j]));
-      }
+      req = std::max(req, spine_demand(stage, key, sd, j));
     }
     return req;
   }
@@ -372,8 +414,264 @@ std::vector<Stage> sched_alap(const Network& net, const SchedContext& ctx,
   return alap;
 }
 
+/// Visits (with repeats) every scheduled element whose cost evaluation
+/// reads the spines of d's pins: d itself, the consumers of those pins, and —
+/// where a pin feeds a T1 — the slot permutation's co-drivers.
+template <typename Visit>
+void visit_spine_readers(const Network& net, const SchedContext& ctx, NodeId d, Visit&& visit) {
+  const auto mark = [&](NodeId v) {
+    if (v != kNullNode && is_scheduled(net.node(v).type)) {
+      visit(v);
+    }
+  };
+  mark(d);
+  for (const NodeId p : ctx.pins[d]) {
+    for (const NodeId c : ctx.consumers[p]) {
+      if (c == kNullNode) continue;
+      mark(c);
+      if (net.node(c).type == GateType::T1) {
+        const Node& b = net.node(c);
+        for (unsigned i = 0; i < 3; ++i) {
+          mark(resolve_producer(net, b.fanin(i)));
+        }
+      }
+    }
+  }
+}
+
+/// Visits (with repeats) every scheduled element whose sweep evaluation may
+/// read the stage of \p w — an over-approximation: w's window bounds enter
+/// its producers and consumers; w's stage enters the spines of its
+/// producers' pins and (through eq.-3 slot permutations) of every driver of
+/// a T1 it feeds. The incremental sweep marks these dirty after a move of w;
+/// the trace replay counts them as readers of a diverged stage.
+template <typename Visit>
+void visit_stage_readers(const Network& net, const SchedContext& ctx, NodeId w, Visit&& visit) {
+  const auto mark = [&](NodeId v) {
+    if (v != kNullNode && is_scheduled(net.node(v).type)) {
+      visit(v);
+    }
+  };
+  const auto mark_spine_readers = [&](NodeId d) { visit_spine_readers(net, ctx, d, visit); };
+  mark(w);
+  const Node& node = net.node(w);
+  for (uint8_t i = 0; i < node.num_fanins; ++i) {
+    mark_spine_readers(resolve_producer(net, node.fanin(i)));
+  }
+  for (const NodeId p : ctx.pins[w]) {
+    for (const NodeId c : ctx.consumers[p]) {
+      if (c == kNullNode) continue;
+      mark(c);
+      if (net.node(c).type == GateType::T1) {
+        const Node& b = net.node(c);
+        for (unsigned i = 0; i < 3; ++i) {
+          mark_spine_readers(resolve_producer(net, b.fanin(i)));
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
+struct ScheduleTraceAccess {
+  /// Replay of a recorded run against the current network. A sweep evaluation
+  /// is a deterministic function of the structure and stages it reads, so
+  /// where those are the recorded ones the recorded decision is the decision.
+  /// The edit's structural footprint is pinned (evaluated every sweep); a
+  /// node whose stage differs from its recorded counterpart at the same
+  /// point of the same sweep ("diverged") keeps its readers evaluated while
+  /// it differs. Everything else copies the recorded move.
+  struct Replay {
+    std::vector<char> has_prior;    ///< current id has a recorded counterpart
+    std::vector<Stage> prior_stage; ///< counterpart's stage in the recorded run
+    std::vector<char> pinned;
+    std::vector<uint32_t> diverged_reads;  ///< diverged stages in the read set
+    std::vector<NodeId> to_current;        ///< recorded id -> current id
+    std::vector<Stage> move_to;            ///< recorded move this sweep, or kNoMove
+    static constexpr Stage kNoMove = std::numeric_limits<Stage>::min();
+
+    bool diverged(const std::vector<Stage>& stage, NodeId v) const {
+      return has_prior[v] && prior_stage[v] != stage[v];
+    }
+  };
+
+  static const std::vector<std::vector<std::pair<NodeId, Stage>>>& sweeps(
+      const ScheduleTrace& t) {
+    return t.sweeps_;
+  }
+
+  /// Sets up the replay of \p t on \p net (seeded at \p stage, sink \p out,
+  /// evaluation order \p order); false when the record cannot be replayed
+  /// exactly or cheaply — the caller then runs the plain sweep.
+  static bool prepare(const ScheduleTrace& t, const Network& net, const SchedContext& ctx,
+                      const PhaseAssignmentParams& params, const std::vector<Stage>& stage,
+                      Stage out, const std::vector<NodeId>& order, Replay& rp) {
+    if (!t.recorded_ || t.output_stage_ != out || t.params_.clk.phases != params.clk.phases ||
+        t.params_.max_sweeps != params.max_sweeps ||
+        t.params_.output_slack != params.output_slack || t.pos_.size() != net.num_pos()) {
+      return false;
+    }
+    const std::size_t size = net.size();
+    rp.to_current.resize(t.nodes_.size());
+    for (NodeId o = 0; o < t.nodes_.size(); ++o) {
+      const NodeId v = t.to_current_.empty() ? o : t.to_current_[o];
+      const bool live = !t.nodes_[o].dead && v != kNullNode && v < size && !net.is_dead(v);
+      rp.to_current[o] = live ? v : kNullNode;
+    }
+    std::vector<NodeId> from_prior(size, kNullNode);
+    for (NodeId o = 0; o < t.nodes_.size(); ++o) {
+      const NodeId v = rp.to_current[o];
+      if (v == kNullNode) continue;
+      if (from_prior[v] != kNullNode) return false;  // not a renumbering
+      from_prior[v] = o;
+    }
+    // Survivors must be evaluated in the recorded relative order: then every
+    // recorded move lands at the same point of the current sweep.
+    std::vector<uint32_t> position(size, 0);
+    for (uint32_t i = 0; i < order.size(); ++i) position[order[i]] = i;
+    std::size_t next = 0;
+    for (const NodeId o : t.order_) {
+      const NodeId v = rp.to_current[o];
+      if (v == kNullNode) continue;
+      if (position[v] < next) return false;
+      next = position[v] + 1;
+    }
+
+    // Structural footprint of the edit. A node is rewired when it has no
+    // counterpart or its kind or fanins differ from its counterpart's: any
+    // reader of its stage may decide differently. It is regrouped when only
+    // its consumer set differs (a fanin of a rewired or removed node, a
+    // re-pointed PO driver): only the readers of its spines may.
+    std::vector<char> rewired(size, 0);
+    std::vector<char> regrouped(size, 0);
+    std::vector<NodeId> footprint;
+    const auto add = [&](std::vector<char>& set, NodeId v) {
+      if (v == kNullNode || set[v]) return;
+      set[v] = 1;
+      footprint.push_back(v);
+    };
+    const auto regroup_fanins = [&](const Node& node, bool recorded) {
+      for (uint8_t i = 0; i < node.num_fanins; ++i) {
+        add(regrouped, recorded ? rp.to_current[node.fanin(i)] : node.fanin(i));
+      }
+    };
+    for (NodeId v = 0; v < size; ++v) {
+      if (net.is_dead(v)) continue;
+      const Node& node = net.node(v);
+      const NodeId o = from_prior[v];
+      bool same = o != kNullNode;
+      if (same) {
+        const Node& rec = t.nodes_[o];
+        same = rec.type == node.type && rec.num_fanins == node.num_fanins &&
+               (node.type != GateType::T1Port || rec.port == node.port);
+        for (uint8_t i = 0; same && i < node.num_fanins; ++i) {
+          same = rp.to_current[rec.fanin(i)] == node.fanin(i);
+        }
+        if (!same) regroup_fanins(rec, true);
+      }
+      if (!same) {
+        add(rewired, v);
+        regroup_fanins(node, false);
+      }
+    }
+    for (NodeId o = 0; o < t.nodes_.size(); ++o) {
+      if (!t.nodes_[o].dead && rp.to_current[o] == kNullNode) {
+        regroup_fanins(t.nodes_[o], true);  // removed: its fanins lost a consumer
+      }
+    }
+    for (std::size_t i = 0; i < t.pos_.size(); ++i) {
+      if (rp.to_current[t.pos_[i]] != net.po(i)) {
+        add(regrouped, rp.to_current[t.pos_[i]]);
+        add(regrouped, net.po(i));
+      }
+    }
+    // Ports and buffers are traversed without their stage being read, and a
+    // T1 body's pins are its ports, so an edit that reaches one is not
+    // replayed at all.
+    for (const NodeId w : footprint) {
+      const GateType ty = net.node(w).type;
+      if (ty == GateType::T1 || ty == GateType::T1Port || ty == GateType::Buf) return false;
+    }
+    // Margin: one more ring of clocked elements (producers and consumers)
+    // counted as regrouped. PIs and constants are left out — their consumer
+    // sets change only through the rules above.
+    const std::size_t core = footprint.size();
+    for (std::size_t k = 0; k < core; ++k) {
+      const NodeId w = footprint[k];
+      const Node& node = net.node(w);
+      const auto ring = [&](NodeId v) {
+        if (is_scheduled(net.node(v).type)) add(regrouped, v);
+      };
+      for (uint8_t i = 0; i < node.num_fanins; ++i) ring(node.fanin(i));
+      for (const NodeId c : ctx.consumers[w]) {
+        if (c != kNullNode) ring(c);
+      }
+    }
+
+    rp.pinned.assign(size, 0);
+    std::size_t pinned = 0;
+    const auto pin = [&](NodeId v) {
+      pinned += rp.pinned[v] == 0;
+      rp.pinned[v] = 1;
+    };
+    for (NodeId v = 0; v < size; ++v) {
+      if (rewired[v]) visit_stage_readers(net, ctx, v, pin);
+      if (regrouped[v]) visit_spine_readers(net, ctx, v, pin);
+    }
+    if (pinned * 4 > size) return false;  // not local: the plain sweep is cheaper
+
+    rp.has_prior.assign(size, 0);
+    rp.prior_stage.assign(size, 0);
+    rp.diverged_reads.assign(size, 0);
+    rp.move_to.assign(size, Replay::kNoMove);
+    for (NodeId v = 0; v < size; ++v) {
+      const NodeId o = from_prior[v];
+      if (o == kNullNode) continue;
+      rp.has_prior[v] = 1;
+      rp.prior_stage[v] = t.seed_[o];
+    }
+    for (NodeId v = 0; v < size; ++v) {
+      if (rp.diverged(stage, v)) {
+        visit_stage_readers(net, ctx, v, [&](NodeId r) { ++rp.diverged_reads[r]; });
+      }
+    }
+    return true;
+  }
+
+  static void record(ScheduleTrace& t, const Network& net, const PhaseAssignmentParams& params,
+                     const std::vector<Stage>& seed, Stage out, std::vector<NodeId> order,
+                     std::vector<std::vector<std::pair<NodeId, Stage>>> sweeps) {
+    t.recorded_ = true;
+    t.nodes_.resize(net.size());
+    for (NodeId v = 0; v < net.size(); ++v) t.nodes_[v] = net.node(v);
+    t.pos_ = net.pos();
+    t.order_ = std::move(order);
+    t.seed_ = seed;
+    t.output_stage_ = out;
+    t.params_ = params;
+    t.sweeps_ = std::move(sweeps);
+    t.to_current_.clear();
+  }
+
+  static void clear(ScheduleTrace& t) { t = ScheduleTrace{}; }
+};
+
+void ScheduleTrace::rebind(const std::vector<NodeId>& old_to_new) {
+  if (!recorded_) return;
+  if (to_current_.empty()) {
+    to_current_.resize(nodes_.size());
+    for (NodeId o = 0; o < nodes_.size(); ++o) to_current_[o] = o;
+  }
+  for (NodeId& v : to_current_) {
+    v = (v != kNullNode && v < old_to_new.size()) ? old_to_new[v] : kNullNode;
+  }
+}
+
+namespace {
+
 PhaseAssignment heuristic_assign(const Network& net, const PhaseAssignmentParams& params,
-                                 const IncrementalView* view) {
+                                 const IncrementalView* view, ScheduleTrace* trace) {
   PhaseAssignment pa;
   pa.stage.assign(net.size(), 0);
   if (view) {
@@ -396,6 +694,7 @@ PhaseAssignment heuristic_assign(const Network& net, const PhaseAssignmentParams
   pa.feasible = assignment_feasible(net, pa.stage, out, params.clk);
   if (!pa.feasible) {
     pa.estimated_dffs = -1;
+    if (trace) ScheduleTraceAccess::clear(*trace);
     return pa;
   }
 
@@ -403,6 +702,18 @@ PhaseAssignment heuristic_assign(const Network& net, const PhaseAssignmentParams
   const Stage n = static_cast<Stage>(params.clk.phases);
   auto order = net.topo_order();
   std::reverse(order.begin(), order.end());
+
+  // -- Trace replay (identical schedules, edit-local work). -------------------
+  // The reference full sweep (incremental = false) never replays.
+  ScheduleTraceAccess::Replay rp;
+  const bool replay =
+      trace && trace->recorded() && params.incremental &&
+      ScheduleTraceAccess::prepare(*trace, net, ctx, params, pa.stage, out, order, rp);
+  if (trace && trace->recorded()) {
+    obs::count(replay ? "sched.replay.hits" : "sched.replay.fallbacks");
+  }
+  const std::vector<Stage> seed = trace ? pa.stage : std::vector<Stage>{};
+  std::vector<std::vector<std::pair<NodeId, Stage>>> moves;  // recorded when tracing
 
   // -- Incremental sweep machinery (identical schedules, less work). ---------
   //
@@ -414,53 +725,10 @@ PhaseAssignment heuristic_assign(const Network& net, const PhaseAssignmentParams
   // the fixed reverse-topo order means a move can only dirty nodes that are
   // either later in the current pass (evaluated this pass, as the full sweep
   // would) or earlier (evaluated next pass, as the full sweep would).
-  const bool incr = params.incremental;
+  const bool incr = params.incremental && !replay;
   std::vector<char> dirty;
-  const auto mark = [&](NodeId v) {
-    if (v != kNullNode && is_scheduled(net.node(v).type)) {
-      dirty[v] = 1;
-    }
-  };
-  // Everyone whose cost evaluation reads the spines of d's pins: d itself,
-  // the consumers of those pins, and — where a pin feeds a T1 — the slot
-  // permutation's co-drivers.
-  const auto mark_spine_readers = [&](NodeId d) {
-    mark(d);
-    for (const NodeId p : ctx.pins[d]) {
-      for (const NodeId c : ctx.consumers[p]) {
-        if (c == kNullNode) continue;
-        mark(c);
-        if (net.node(c).type == GateType::T1) {
-          const Node& b = net.node(c);
-          for (unsigned i = 0; i < 3; ++i) {
-            mark(resolve_producer(net, b.fanin(i)));
-          }
-        }
-      }
-    }
-  };
-  // Over-approximation of "whose evaluation reads stage[w]": w's window
-  // bounds enter its producers and consumers; w's stage enters the spines of
-  // its producers' pins and (through eq.-3 slot permutations) of every
-  // driver of a T1 it feeds.
   const auto mark_affected = [&](NodeId w) {
-    mark(w);
-    const Node& node = net.node(w);
-    for (uint8_t i = 0; i < node.num_fanins; ++i) {
-      mark_spine_readers(resolve_producer(net, node.fanin(i)));
-    }
-    for (const NodeId p : ctx.pins[w]) {
-      for (const NodeId c : ctx.consumers[p]) {
-        if (c == kNullNode) continue;
-        mark(c);
-        if (net.node(c).type == GateType::T1) {
-          const Node& b = net.node(c);
-          for (unsigned i = 0; i < 3; ++i) {
-            mark_spine_readers(resolve_producer(net, b.fanin(i)));
-          }
-        }
-      }
-    }
+    visit_stage_readers(net, ctx, w, [&](NodeId v) { dirty[v] = 1; });
   };
   if (incr) {
     dirty.assign(net.size(), 0);
@@ -513,113 +781,205 @@ PhaseAssignment heuristic_assign(const Network& net, const PhaseAssignmentParams
   uint64_t nodes_evaluated = 0;
   uint64_t nodes_skipped = 0;
   uint64_t moves_committed = 0;
+
+  // Per-evaluation scratch, reused across nodes.
+  std::vector<NodeId> u_consumers;
+  std::vector<NodeId> drivers;
+  std::vector<NodeId> t1s;
+  std::vector<Stage> candidates;
+  // The spine of a pin owned by another driver d != u moves with stage[u]
+  // only through the demands of u itself and of T1 bodies u feeds (their slot
+  // permutation reads stage[u]). Every other demand is folded into `fixed`
+  // once per evaluation, so a candidate rescans only the moving ones — the
+  // same max, hence the same cost, without re-walking wide fanouts.
+  struct PinSplit {
+    NodeId key;
+    Stage sd;
+    Stage fixed;
+    std::size_t begin, end;  ///< range of `moving`
+  };
+  std::vector<PinSplit> splits;
+  std::vector<NodeId> moving;
+
+  // Best stage for u under the current stages (pa.stage[u] is left as found).
+  const auto evaluate = [&](NodeId u) -> Stage {
+    const Node& node = net.node(u);
+    const Stage original = pa.stage[u];
+    const Stage lo = sched_local_lower_bound(net, pa.stage, u);
+    Stage hi = kInf;
+    u_consumers.clear();
+    for (const NodeId pin : ctx.pins[u]) {
+      u_consumers.insert(u_consumers.end(), ctx.consumers[pin].begin(),
+                         ctx.consumers[pin].end());
+    }
+    for (const NodeId j : u_consumers) {
+      if (j == kNullNode) {
+        hi = std::min(hi, out - 1);
+      } else if (net.node(j).type == GateType::T1) {
+        hi = std::min(hi, sched_t1_max_input_stage(net, pa.stage, j, u));
+      } else {
+        hi = std::min(hi, pa.stage[j] - 1);
+      }
+    }
+    if (hi >= kInf) {
+      hi = out - 1;  // dead-end driver (shouldn't happen after sweep)
+    }
+    if (hi <= lo) {
+      return original;
+    }
+
+    // Affected cost scope: u, u's fanin drivers, all drivers of u's T1
+    // consumers; plus dedicated counts of adjacent T1s.
+    drivers.assign(1, u);
+    t1s.clear();
+    if (node.type == GateType::T1) {
+      t1s.push_back(u);
+    }
+    for (uint8_t i = 0; i < node.num_fanins; ++i) {
+      drivers.push_back(resolve_producer(net, node.fanin(i)));
+    }
+    for (const NodeId j : u_consumers) {
+      if (j != kNullNode && net.node(j).type == GateType::T1) {
+        t1s.push_back(j);
+        const Node& body = net.node(j);
+        for (unsigned i = 0; i < 3; ++i) {
+          drivers.push_back(resolve_producer(net, body.fanin(i)));
+        }
+      }
+    }
+    std::sort(drivers.begin(), drivers.end());
+    drivers.erase(std::unique(drivers.begin(), drivers.end()), drivers.end());
+    std::sort(t1s.begin(), t1s.end());
+    t1s.erase(std::unique(t1s.begin(), t1s.end()), t1s.end());
+
+    const auto moves_with_u = [&](NodeId j) {
+      if (j == u) return true;
+      if (j == kNullNode || net.node(j).type != GateType::T1) return false;
+      const Node& body = net.node(j);
+      for (unsigned i = 0; i < 3; ++i) {
+        if (resolve_producer(net, body.fanin(i)) == u) return true;
+      }
+      return false;
+    };
+    splits.clear();
+    moving.clear();
+    for (const NodeId d : drivers) {
+      if (d == u) continue;
+      for (const NodeId key : ctx.pins[d]) {
+        if (is_const(net, resolve_producer(net, key))) continue;  // spine 0
+        PinSplit ps{key, ctx.stage_of(pa.stage, key), 0, moving.size(), 0};
+        for (const NodeId j : ctx.consumers[key]) {
+          if (moves_with_u(j)) {
+            moving.push_back(j);
+          } else {
+            ps.fixed = std::max(ps.fixed, ctx.spine_demand(pa.stage, key, ps.sd, j));
+          }
+        }
+        ps.end = moving.size();
+        splits.push_back(ps);
+      }
+    }
+
+    const auto local_cost = [&]() {
+      int64_t c = ctx.element_spines(pa.stage, u);
+      for (const PinSplit& ps : splits) {
+        Stage req = ps.fixed;
+        for (std::size_t k = ps.begin; k < ps.end; ++k) {
+          req = std::max(req, ctx.spine_demand(pa.stage, ps.key, ps.sd, moving[k]));
+        }
+        c += req;
+      }
+      for (const NodeId j : t1s) {
+        c += ctx.dedicated(pa.stage, j);
+      }
+      return c;
+    };
+
+    int64_t best_cost = local_cost();
+    Stage best_stage = original;
+    // Candidate window: full range when small, else both ends.
+    candidates.clear();
+    if (hi - lo <= 6 * n) {
+      for (Stage x = lo; x <= hi; ++x) {
+        candidates.push_back(x);
+      }
+    } else {
+      for (Stage x = lo; x <= lo + 3 * n; ++x) {
+        candidates.push_back(x);
+      }
+      for (Stage x = hi - 3 * n; x <= hi; ++x) {
+        candidates.push_back(x);
+      }
+    }
+    for (const Stage x : candidates) {
+      if (x == original) continue;
+      pa.stage[u] = x;
+      if (node.type == GateType::T1 &&
+          pa.stage[u] < sched_local_lower_bound(net, pa.stage, u)) {
+        continue;  // eq. 3 must keep holding for u itself
+      }
+      const int64_t c = local_cost();
+      if (c < best_cost) {
+        best_cost = c;
+        best_stage = x;
+      }
+    }
+    pa.stage[u] = original;
+    return best_stage;
+  };
+
+  const std::vector<std::vector<std::pair<NodeId, Stage>>>* recorded_sweeps =
+      replay ? &ScheduleTraceAccess::sweeps(*trace) : nullptr;
   for (unsigned sweep = 0; sweep < params.max_sweeps; ++sweep) {
     bool changed = false;
     ++sweeps_run;
+    if (trace) moves.emplace_back();
+    if (replay && sweep < recorded_sweeps->size()) {
+      for (const auto& [o, x] : (*recorded_sweeps)[sweep]) {
+        const NodeId v = rp.to_current[o];
+        if (v != kNullNode) rp.move_to[v] = x;
+      }
+    }
     for (const NodeId u : order) {
-      const Node& node = net.node(u);
-      if (!is_scheduled(node.type)) continue;
-      if (incr) {
-        if (!dirty[u]) {
-          ++nodes_skipped;
-          continue;
-        }
+      if (!is_scheduled(net.node(u).type)) continue;
+      bool eval = true;
+      if (replay) {
+        eval = rp.pinned[u] || rp.diverged_reads[u] > 0;
+      } else if (incr) {
+        eval = dirty[u];
         dirty[u] = 0;
       }
-      ++nodes_evaluated;
-
-      const Stage lo = sched_local_lower_bound(net, pa.stage, u);
-      Stage hi = kInf;
-      std::vector<NodeId> u_consumers;
-      for (const NodeId pin : ctx.pins[u]) {
-        u_consumers.insert(u_consumers.end(), ctx.consumers[pin].begin(),
-                           ctx.consumers[pin].end());
-      }
-      for (const NodeId j : u_consumers) {
-        if (j == kNullNode) {
-          hi = std::min(hi, out - 1);
-        } else if (net.node(j).type == GateType::T1) {
-          hi = std::min(hi, sched_t1_max_input_stage(net, pa.stage, j, u));
-        } else {
-          hi = std::min(hi, pa.stage[j] - 1);
-        }
-      }
-      if (hi >= kInf) {
-        hi = out - 1;  // dead-end driver (shouldn't happen after sweep)
-      }
-      if (hi <= lo) {
-        continue;
-      }
-
-      // Affected cost scope: u, u's fanin drivers, all drivers of u's T1
-      // consumers; plus dedicated counts of adjacent T1s.
-      std::vector<NodeId> drivers{u};
-      std::vector<NodeId> t1s;
-      if (node.type == GateType::T1) {
-        t1s.push_back(u);
-      }
-      for (uint8_t i = 0; i < node.num_fanins; ++i) {
-        drivers.push_back(resolve_producer(net, node.fanin(i)));
-      }
-      for (const NodeId j : u_consumers) {
-        if (j != kNullNode && net.node(j).type == GateType::T1) {
-          t1s.push_back(j);
-          const Node& body = net.node(j);
-          for (unsigned i = 0; i < 3; ++i) {
-            drivers.push_back(resolve_producer(net, body.fanin(i)));
-          }
-        }
-      }
-      std::sort(drivers.begin(), drivers.end());
-      drivers.erase(std::unique(drivers.begin(), drivers.end()), drivers.end());
-      std::sort(t1s.begin(), t1s.end());
-      t1s.erase(std::unique(t1s.begin(), t1s.end()), t1s.end());
-
-      const auto local_cost = [&]() {
-        int64_t c = 0;
-        for (const NodeId d : drivers) {
-          c += ctx.element_spines(pa.stage, d);
-        }
-        for (const NodeId j : t1s) {
-          c += ctx.dedicated(pa.stage, j);
-        }
-        return c;
-      };
-
       const Stage original = pa.stage[u];
-      int64_t best_cost = local_cost();
-      Stage best_stage = original;
-      // Candidate window: full range when small, else both ends.
-      std::vector<Stage> candidates;
-      if (hi - lo <= 6 * n) {
-        for (Stage x = lo; x <= hi; ++x) {
-          candidates.push_back(x);
+      Stage next = original;
+      if (eval) {
+        ++nodes_evaluated;
+        next = evaluate(u);
+      } else {
+        ++nodes_skipped;
+        if (replay && rp.move_to[u] != ScheduleTraceAccess::Replay::kNoMove) {
+          next = rp.move_to[u];  // same reads, same decision as recorded
+        }
+      }
+      if (replay) {
+        const bool was = rp.diverged(pa.stage, u);
+        if (rp.move_to[u] != ScheduleTraceAccess::Replay::kNoMove) {
+          rp.prior_stage[u] = rp.move_to[u];
+          rp.move_to[u] = ScheduleTraceAccess::Replay::kNoMove;
+        }
+        pa.stage[u] = next;
+        const bool now = rp.diverged(pa.stage, u);
+        if (was != now) {
+          visit_stage_readers(net, ctx, u, [&](NodeId r) {
+            rp.diverged_reads[r] += now ? 1u : static_cast<uint32_t>(-1);
+          });
         }
       } else {
-        for (Stage x = lo; x <= lo + 3 * n; ++x) {
-          candidates.push_back(x);
-        }
-        for (Stage x = hi - 3 * n; x <= hi; ++x) {
-          candidates.push_back(x);
-        }
+        pa.stage[u] = next;
       }
-      for (const Stage x : candidates) {
-        if (x == original) continue;
-        pa.stage[u] = x;
-        if (node.type == GateType::T1 &&
-            pa.stage[u] < sched_local_lower_bound(net, pa.stage, u)) {
-          continue;  // eq. 3 must keep holding for u itself
-        }
-        const int64_t c = local_cost();
-        if (c < best_cost) {
-          best_cost = c;
-          best_stage = x;
-        }
-      }
-      pa.stage[u] = best_stage;
-      if (best_stage != original) {
+      if (next != original) {
         changed = true;
         ++moves_committed;
+        if (trace) moves.back().emplace_back(u, next);
         if (incr) {
           mark_affected(u);
         }
@@ -633,6 +993,10 @@ PhaseAssignment heuristic_assign(const Network& net, const PhaseAssignmentParams
   obs::count("sched.nodes_evaluated", nodes_evaluated);
   obs::count("sched.nodes_skipped", nodes_skipped);
   obs::count("sched.moves_committed", moves_committed);
+  if (trace) {
+    ScheduleTraceAccess::record(*trace, net, params, seed, out, std::move(order),
+                                std::move(moves));
+  }
 
   // Ports/bufs mirror their producer (consumers always resolve, but the
   // reported stage should be meaningful).
@@ -651,7 +1015,7 @@ PhaseAssignment milp_assign(const Network& net, const PhaseAssignmentParams& par
                             const IncrementalView* view) {
   // Seed with the heuristic: it fixes the output stage and provides bounds
   // and a fallback result.
-  PhaseAssignment seed = heuristic_assign(net, params, view);
+  PhaseAssignment seed = heuristic_assign(net, params, view, nullptr);
   if (!seed.feasible) {
     return seed;
   }
@@ -802,18 +1166,19 @@ PhaseAssignment assign_phases(const Network& net, const PhaseAssignmentParams& p
       return milp_assign(net, params, nullptr);
     case PhaseEngine::Heuristic:
     default:
-      return heuristic_assign(net, params, nullptr);
+      return heuristic_assign(net, params, nullptr, nullptr);
   }
 }
 
 PhaseAssignment assign_phases(const IncrementalView& view,
-                              const PhaseAssignmentParams& params) {
+                              const PhaseAssignmentParams& params, ScheduleTrace* trace) {
   switch (params.engine) {
     case PhaseEngine::ExactMilp:
+      if (trace) ScheduleTraceAccess::clear(*trace);  // only heuristic runs replay
       return milp_assign(view.net(), params, &view);
     case PhaseEngine::Heuristic:
     default:
-      return heuristic_assign(view.net(), params, &view);
+      return heuristic_assign(view.net(), params, &view, trace);
   }
 }
 

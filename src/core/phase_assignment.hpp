@@ -112,13 +112,48 @@ Stage sched_t1_max_input_stage(const Network& net, const std::vector<Stage>& sta
 
 PhaseAssignment assign_phases(const Network& net, const PhaseAssignmentParams& params);
 
+/// Replayable record of one heuristic assignment: the network structure it
+/// ran on, its evaluation order, seed, sink stage and every committed move.
+/// Handed back to the view-seeded `assign_phases` after an edit, it lets the
+/// scheduler re-evaluate only the nodes whose inputs the edit can reach and
+/// copy every other decision from the record — the same schedule as a run
+/// from scratch, since a node's decision is a function of what it reads.
+class ScheduleTrace {
+public:
+  /// True once a heuristic run has been recorded.
+  bool recorded() const { return recorded_; }
+  /// Carries the record across a compaction of its network: \p old_to_new
+  /// maps the ids it was recorded under to the current ones (kNullNode:
+  /// removed), as for `IncrementalView::rebind_after_cleanup`. Composes with
+  /// an earlier rebind.
+  void rebind(const std::vector<NodeId>& old_to_new);
+
+private:
+  friend struct ScheduleTraceAccess;  // the scheduler's replay and recording
+  bool recorded_ = false;
+  std::vector<Node> nodes_;
+  std::vector<NodeId> pos_;
+  std::vector<NodeId> order_;  ///< evaluation order (reverse topological)
+  std::vector<Stage> seed_;
+  Stage output_stage_ = 0;
+  PhaseAssignmentParams params_;
+  /// Committed moves (node, new stage) of each sweep, in evaluation order.
+  std::vector<std::vector<std::pair<NodeId, Stage>>> sweeps_;
+  /// Recorded id -> current id; empty = unchanged ids.
+  std::vector<NodeId> to_current_;
+};
+
 class IncrementalView;
 /// View-seeded assignment: seeds the scheduler from the view's maintained
 /// ASAP stages and slack (alap − stage) instead of recomputing them, then
 /// runs the same engine as `assign_phases(view.net(), params)`. The view must
-/// be in sync with its network; it is only read.
+/// be in sync with its network; it is only read. With \p trace, a recorded
+/// heuristic run of an earlier version of the network (rebound to the current
+/// ids) is replayed where the edit cannot reach, and the trace is overwritten
+/// with the record of this run; the result is identical either way.
 PhaseAssignment assign_phases(const IncrementalView& view,
-                              const PhaseAssignmentParams& params);
+                              const PhaseAssignmentParams& params,
+                              ScheduleTrace* trace = nullptr);
 
 /// Validates eq.-3/edge constraints of an assignment (used by tests).
 bool assignment_feasible(const Network& net, const std::vector<Stage>& stage,

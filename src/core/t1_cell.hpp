@@ -31,6 +31,11 @@ namespace t1sfq {
 /// pulses into the storage loop and corrupt the count).
 std::optional<T1PortFn> classify_t1_function(const TruthTable& f);
 
+/// The same classification by a 256-entry table lookup on a 3-variable
+/// truth-table word (bit i = value on minterm i), for the cut kernel's hot
+/// path. Agrees with `classify_t1_function` on every 3-variable function.
+std::optional<T1PortFn> classify_t1_word(uint8_t f);
+
 /// JJ cost of a T1 realization providing the given set of ports
 /// (body + one appended inverter per negated port).
 unsigned t1_area(const CellLibrary& lib, const std::vector<T1PortFn>& ports);

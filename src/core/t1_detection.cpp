@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -234,7 +233,8 @@ T1DetectionStats detect_round(Network& net, const CostModel& model,
   CutEnumerationParams cp;
   cp.cut_size = 3;
   cp.max_cuts = params.max_cuts;
-  const auto cuts = enumerate_cuts(net, cp);
+  const std::vector<NodeId> order = net.topo_order();
+  const NetworkCuts cuts = enumerate_cuts(net, cp, order);
   // The round's shared analysis state: stages, fanouts, consumers and — when
   // the commit guard runs — the delta-maintained DFF plan and JJ estimate.
   // Pricing happens before any commit, so candidate gains see the round-entry
@@ -243,35 +243,48 @@ T1DetectionStats detect_round(Network& net, const CostModel& model,
   const bool guarded = params.require_positive_gain && params.dff_aware;
 
   // -- Group matching cuts by their (sorted) leaf triple. ----------------------
-  std::map<std::array<NodeId, 3>, std::vector<Match>> groups;
-  for (const NodeId id : net.topo_order()) {
+  // One flat entry per matching cut, collected in root topological order and
+  // stably sorted by triple: buckets come out in lexicographic triple order
+  // with their roots in topological order. A root has at most one cut per
+  // leaf set, so a bucket never names a root twice.
+  struct GroupEntry {
+    std::array<NodeId, 3> leaves;
+    NodeId root;
+    T1PortFn fn;
+  };
+  std::vector<GroupEntry> entries;
+  for (const NodeId id : order) {
     if (!is_candidate_root(net.node(id).type)) continue;
-    for (const Cut& cut : cuts[id].cuts()) {
-      if (cut.leaves.size() != 3) continue;
+    for (const Cut& cut : cuts[id]) {
+      if (cut.num_leaves != 3) continue;
       // A constant leaf would inject its fixed value as pulses into the
       // storage loop — phase assignment rejects such bodies outright (the
       // cut function can still formally depend on the leaf, so the support
       // check alone does not catch this).
       const bool const_leaf = std::any_of(
-          cut.leaves.begin(), cut.leaves.end(), [&](NodeId leaf) {
+          cut.leaves().begin(), cut.leaves().end(), [&](NodeId leaf) {
             const GateType t = net.node(leaf).type;
             return t == GateType::Const0 || t == GateType::Const1;
           });
       if (const_leaf) continue;
-      const auto fn = classify_t1_function(cut.function);
+      const auto fn = classify_t1_word(static_cast<uint8_t>(cut.function));
       if (!fn) continue;
-      const std::array<NodeId, 3> key{cut.leaves[0], cut.leaves[1], cut.leaves[2]};
-      auto& bucket = groups[key];
-      if (std::none_of(bucket.begin(), bucket.end(),
-                       [&](const Match& m) { return m.root == id; })) {
-        bucket.push_back(Match{id, *fn, {}, 0});
-      }
+      entries.push_back({{cut.leaf[0], cut.leaf[1], cut.leaf[2]}, id, *fn});
     }
   }
+  std::stable_sort(entries.begin(), entries.end(),
+                   [](const GroupEntry& a, const GroupEntry& b) { return a.leaves < b.leaves; });
 
   // -- Price the candidates (extended eq. 2). ----------------------------------
   std::vector<Candidate> candidates;
-  for (auto& [leaves, matches] : groups) {
+  std::vector<Match> matches;
+  for (std::size_t begin = 0, end = 0; begin < entries.size(); begin = end) {
+    const std::array<NodeId, 3>& leaves = entries[begin].leaves;
+    end = begin;
+    matches.clear();
+    for (; end < entries.size() && entries[end].leaves == leaves; ++end) {
+      matches.push_back(Match{entries[end].root, entries[end].fn, {}, 0});
+    }
     if (matches.size() < params.min_cuts_per_group) continue;
     Candidate cand;
     cand.leaves = leaves;

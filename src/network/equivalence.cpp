@@ -394,8 +394,9 @@ private:
 std::vector<Signature> signatures(const Network& net,
                                   const std::vector<std::vector<uint64_t>>& words) {
   std::vector<Signature> sig(net.size());
+  const std::vector<NodeId> order = net.topo_order();
   for (unsigned w = 0; w < kSweepWords; ++w) {
-    const std::vector<uint64_t> value = simulate_all_words(net, words[w]);
+    const std::vector<uint64_t> value = simulate_all_words(net, words[w], order);
     for (std::size_t id = 0; id < net.size(); ++id) {
       sig[id][w] = value[id];
     }

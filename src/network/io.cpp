@@ -149,6 +149,14 @@ struct BlifNames {
 struct BlifSubckt {
   std::string cell;
   std::map<std::string, std::string> pins;  // formal -> actual
+
+  const std::string& pin(const std::string& formal) const {
+    const auto it = pins.find(formal);
+    if (it == pins.end()) {
+      throw ParseError("read_blif: .subckt " + cell + " lacks pin " + formal);
+    }
+    return it->second;
+  }
 };
 
 struct BlifModel {
@@ -193,12 +201,18 @@ BlifModel parse_blif(std::istream& is) {
       } else if (tok[0] == ".outputs") {
         model.outputs.insert(model.outputs.end(), tok.begin() + 1, tok.end());
       } else if (tok[0] == ".names") {
+        if (tok.size() < 2) {
+          throw ParseError("read_blif: .names without an output");
+        }
         BlifNames rec;
         rec.output = tok.back();
         rec.inputs.assign(tok.begin() + 1, tok.end() - 1);
         model.names.push_back(std::move(rec));
         open_names = &model.names.back();
       } else if (tok[0] == ".subckt") {
+        if (tok.size() < 2) {
+          throw ParseError("read_blif: .subckt without a cell name");
+        }
         BlifSubckt s;
         s.cell = tok[1];
         for (std::size_t i = 2; i < tok.size(); ++i) {
@@ -303,14 +317,14 @@ Network read_blif(std::istream& is) {
       } else {
         const BlifSubckt& s = *rec.subckt;
         if (s.cell == "dff") {
-          if (!have(s.pins.at("d"))) continue;
-          sig[s.pins.at("q")] = net.add_dff(sig[s.pins.at("d")]);
+          if (!have(s.pin("d"))) continue;
+          sig[s.pin("q")] = net.add_dff(sig[s.pin("d")]);
         } else if (s.cell == "t1") {
-          if (!have(s.pins.at("a")) || !have(s.pins.at("b")) || !have(s.pins.at("c"))) {
+          if (!have(s.pin("a")) || !have(s.pin("b")) || !have(s.pin("c"))) {
             continue;
           }
           const NodeId body =
-              net.add_t1(sig[s.pins.at("a")], sig[s.pins.at("b")], sig[s.pins.at("c")]);
+              net.add_t1(sig[s.pin("a")], sig[s.pin("b")], sig[s.pin("c")]);
           const std::pair<const char*, T1PortFn> port_pins[] = {
               {"s", T1PortFn::Sum},     {"co", T1PortFn::Carry}, {"q", T1PortFn::Or},
               {"cn", T1PortFn::CarryN}, {"qn", T1PortFn::OrN}};

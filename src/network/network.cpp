@@ -405,10 +405,26 @@ std::size_t Network::num_gates() const {
 }
 
 std::vector<NodeId> Network::topo_order() const {
-  // True topological sort: rewriting passes (T1 replacement) may create nodes
-  // whose ids are larger than their fanouts', so creation order is not enough.
   std::vector<NodeId> order;
   order.reserve(nodes_.size());
+  // When every live node's fanins precede it (any compacted network), the
+  // DFS below finds each root's fanins already done: its order is the live
+  // ids ascending, produced here without the walk.
+  bool fanins_precede = true;
+  for (NodeId id = 0; fanins_precede && id < nodes_.size(); ++id) {
+    const Node& n = nodes_[id];
+    if (n.dead) continue;
+    for (uint8_t i = 0; i < n.num_fanins; ++i) {
+      fanins_precede = fanins_precede && n.fanins[i] < id;
+    }
+    order.push_back(id);
+  }
+  if (fanins_precede) {
+    return order;
+  }
+  order.clear();
+  // True topological sort: rewriting passes (T1 replacement) may create nodes
+  // whose ids are larger than their fanouts', so creation order is not enough.
   std::vector<uint8_t> mark(nodes_.size(), 0);  // 0 = new, 1 = on stack, 2 = done
   std::vector<std::pair<NodeId, uint8_t>> stack;
   for (NodeId root = 0; root < nodes_.size(); ++root) {

@@ -6,15 +6,21 @@
 namespace t1sfq {
 
 std::vector<uint64_t> simulate_all_words(const Network& net,
-                                         const std::vector<uint64_t>& pi_words) {
+                                         const std::vector<uint64_t>& pi_words,
+                                         std::span<const NodeId> topo_order) {
   if (pi_words.size() != net.num_pis()) {
     throw std::invalid_argument("simulate: wrong number of PI words");
+  }
+  std::vector<NodeId> own_order;
+  if (topo_order.empty()) {
+    own_order = net.topo_order();
+    topo_order = own_order;
   }
   std::vector<uint64_t> value(net.size(), 0);
   for (std::size_t i = 0; i < net.num_pis(); ++i) {
     value[net.pi(i)] = pi_words[i];
   }
-  for (const NodeId id : net.topo_order()) {
+  for (const NodeId id : topo_order) {
     const Node& n = net.node(id);
     switch (n.type) {
       case GateType::Pi:

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "network/network.hpp"
@@ -24,9 +25,12 @@ std::vector<uint64_t> simulate_words(const Network& net, const std::vector<uint6
 std::vector<bool> simulate(const Network& net, const std::vector<bool>& pi_values);
 
 /// Node values (one word per node) for one word-parallel assignment;
-/// used by passes that need internal values, not just POs.
+/// used by passes that need internal values, not just POs. \p topo_order is
+/// `net.topo_order()` when the caller already holds it (multi-round signature
+/// builders compute it once); empty computes it here.
 std::vector<uint64_t> simulate_all_words(const Network& net,
-                                         const std::vector<uint64_t>& pi_words);
+                                         const std::vector<uint64_t>& pi_words,
+                                         std::span<const NodeId> topo_order = {});
 
 /// Exhaustive simulation: requires `num_pis() <= 16`. Returns, per PO, the
 /// complete truth table over the PIs (PI 0 is variable 0).

@@ -99,8 +99,10 @@ class Registry {
 
 // -- Convenience wrappers: single enabled() branch, then forward. -----------
 
+/// Adds \p delta to a counter. A zero delta still registers the counter (at
+/// 0), so a record tells "ran and counted nothing" from "not instrumented".
 inline void count(std::string_view name, uint64_t delta = 1) {
-  if (enabled() && delta != 0) {
+  if (enabled()) {
     Registry::instance().add(name, delta);
   }
 }

@@ -489,8 +489,10 @@ GateReport gate_against_history(const ResultDb& history,
       }
     }
 
-    // The registry never records a zero delta, so an absent counter reads 0:
-    // a rebuild counter that was 0 in history and fires now must still fail.
+    // A counter absent from the reference reads 0 (rows recorded before the
+    // registry kept zero counts): a rebuild counter that was 0 in history and
+    // fires now must still fail. One the reference carries must still be
+    // there: a vanished gated counter was renamed or unhooked, not zeroed.
     for (const std::string_view name : kGatedCounters) {
       const int64_t* ref_val = ref.counter(name);
       const int64_t* cur_val = row.counter(name);
@@ -498,8 +500,16 @@ GateReport gate_against_history(const ResultDb& history,
         continue;
       }
       ++rep.checked_counters;
+      if (cur_val == nullptr) {
+        rep.findings.push_back(
+            {label, "counter " + std::string(name) + " missing (history " +
+                        std::to_string(*ref_val) + " @" + ref.stamp.commit +
+                        "): renamed or unhooked",
+             true});
+        continue;
+      }
       const int64_t rv = ref_val ? *ref_val : 0;
-      const int64_t cv = cur_val ? *cur_val : 0;
+      const int64_t cv = *cur_val;
       const double bound = static_cast<double>(rv) * (1.0 + kCounterGrowthBound);
       if (static_cast<double>(cv) > bound) {
         rep.findings.push_back(

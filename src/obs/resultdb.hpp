@@ -114,8 +114,10 @@ inline constexpr std::array<std::string_view, 6> kGatedCounters = {
     "incr.stage_relaxations", "incr.full_rebuilds",     "sched.nodes_evaluated",
     "detect.candidates",      "opt.rewrite.candidates", "equiv.sat_calls"};
 /// A gated counter fails once it exceeds the reference row by this fraction.
-/// An absent counter reads 0 (the registry records no zero delta), and a
-/// reference of 0 admits no growth. Decreases always pass.
+/// A counter absent from the reference reads 0, and a reference of 0 admits
+/// no growth. Decreases always pass; a counter the reference carries but the
+/// current row lacks fails (the registry records zero counts, so absence
+/// means renamed or unhooked).
 inline constexpr double kCounterGrowthBound = 0.10;
 
 struct GateOptions {
@@ -145,7 +147,8 @@ struct GateReport {
 /// the latest row for the key exactly (within quality_tol), every ratio the
 /// reference row carries must satisfy `current >= max(floor, frac * median)`
 /// over the last_k rows, every `kGatedCounters` entry either row carries
-/// must stay within `(1 + kCounterGrowthBound) * reference`, and every
+/// must stay within `(1 + kCounterGrowthBound) * reference` (and one the
+/// reference carries must be present), and every
 /// key present at the history's latest commit (per bench) must appear in the
 /// current run (coverage loss fails). Ratio and counter failures carry
 /// counter-level attribution against the reference row; every other counter

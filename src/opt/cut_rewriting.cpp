@@ -20,10 +20,10 @@ std::size_t CutRewritingPass::run(Network& net) {
   const RewriteDb& db = RewriteDb::instance(dbp);
 
   CutEnumerationParams cp;
-  cp.cut_size = std::min(params_.cut_size, 4u);
+  cp.cut_size = std::min(params_.cut_size, kMaxCutSize);
   cp.max_cuts = params_.max_cuts;
-  cp.compute_functions = true;
-  const std::vector<CutSet> cuts = enumerate_cuts(net, cp);
+  const std::vector<NodeId> order = net.topo_order();
+  const NetworkCuts cuts = enumerate_cuts(net, cp, order);
 
   // All analysis state lives in the incremental view: commits land through
   // `view.replace` and only the affected cone is re-derived.
@@ -44,7 +44,7 @@ std::size_t CutRewritingPass::run(Network& net) {
   // Hot loop: counters accumulate locally and flush once at the end.
   uint64_t candidates_tried = 0;
   uint64_t abandoned = 0;
-  for (const NodeId root : net.topo_order()) {
+  for (const NodeId root : order) {
     if (net.is_dead(root) || replaced_by[root] != kNullNode) continue;
     if (!is_opt_gate(net.node(root).type)) continue;
     if (cd.fanout(root) == 0) continue;  // dangling (e.g. interior of a prior commit)
@@ -58,11 +58,11 @@ std::size_t CutRewritingPass::run(Network& net) {
     };
     std::optional<Candidate> best;
 
-    for (const Cut& cut : cuts[root].cuts()) {
-      if (cut.is_trivial() || cut.leaves.size() < 2) continue;
-      std::vector<NodeId> leaves(cut.leaves.size());
-      for (std::size_t i = 0; i < cut.leaves.size(); ++i) {
-        leaves[i] = resolve(cut.leaves[i]);
+    for (const Cut& cut : cuts[root]) {
+      if (cut.num_leaves < 2) continue;
+      std::vector<NodeId> leaves(cut.num_leaves);
+      for (std::size_t i = 0; i < cut.num_leaves; ++i) {
+        leaves[i] = resolve(cut.leaf[i]);
       }
       const auto match = db.match(cut.function);
       if (!match) continue;

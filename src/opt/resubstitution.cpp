@@ -54,6 +54,7 @@ std::size_t ResubstitutionPass::run(Network& net) {
   std::vector<uint64_t> sig(n0 * words);
   {
     std::mt19937_64 rng(0x5eedf00dULL);
+    const std::vector<NodeId> order = net.topo_order();
     for (unsigned w = 0; w < words; ++w) {
       std::vector<uint64_t> pi_words(net.num_pis());
       for (auto& word : pi_words) {
@@ -62,7 +63,7 @@ std::size_t ResubstitutionPass::run(Network& net) {
           word = (word & ~uint64_t{3}) | 2;
         }
       }
-      const std::vector<uint64_t> values = simulate_all_words(net, pi_words);
+      const std::vector<uint64_t> values = simulate_all_words(net, pi_words, order);
       for (std::size_t id = 0; id < n0; ++id) {
         sig[id * words + w] = values[id];
       }

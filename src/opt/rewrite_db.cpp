@@ -559,9 +559,10 @@ std::optional<RewriteMatch> RewriteDb::match(const TruthTable& f) const {
   if (f.num_vars() > 4) {
     return std::nullopt;
   }
-  const uint16_t target =
-      static_cast<uint16_t>((f.num_vars() == 4 ? f : f.extend_to(4)).word(0));
+  return match(static_cast<uint16_t>((f.num_vars() == 4 ? f : f.extend_to(4)).word(0)));
+}
 
+std::optional<RewriteMatch> RewriteDb::match(uint16_t target) const {
   if (entries_[target].cost != kUnsettled) {
     RewriteMatch m;
     m.func = target;

@@ -95,9 +95,13 @@ public:
   /// Cheapest known structure JJ for \p func, or nullopt when unexplored.
   std::optional<unsigned> cost(uint16_t func) const;
 
-  /// Matches \p f (at most 4 variables; smaller functions are zero-extended).
+  /// Matches \p f (at most 4 variables; smaller functions are extended with
+  /// don't-care variables).
   /// Exact table lookup first, NPN-class fallback second.
   std::optional<RewriteMatch> match(const TruthTable& f) const;
+  /// Same on a 4-variable truth-table word (a smaller function given as its
+  /// 4-variable extension, as `Cut::function` carries it).
+  std::optional<RewriteMatch> match(uint16_t f) const;
 
   /// Materializes a match over \p leaves (indexed by the match's input_leaf)
   /// in \p net and returns the structure's root. Structural hashing in

@@ -1,6 +1,8 @@
 #include "service/canonical.hpp"
 
+#include <charconv>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 namespace t1sfq::service {
@@ -13,32 +15,55 @@ uint64_t fnv1a(const std::string& data, uint64_t h) {
   return h;
 }
 
+namespace {
+
+/// FNV-1a fed piecewise: hashes the same bytes a text rendering would hold
+/// without materializing the text.
+struct Fnv {
+  uint64_t h = 0xcbf29ce484222325ull;
+  Fnv& operator<<(std::string_view s) {
+    for (const char c : s) {
+      h ^= static_cast<uint8_t>(c);
+      h *= 0x100000001b3ull;
+    }
+    return *this;
+  }
+  Fnv& operator<<(char c) { return *this << std::string_view(&c, 1); }
+  Fnv& operator<<(uint64_t v) {
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof buf, v);
+    return *this << std::string_view(buf, static_cast<std::size_t>(res.ptr - buf));
+  }
+};
+
+}  // namespace
+
 uint64_t exact_signature(const Network& net) {
-  std::ostringstream ss;
+  Fnv ss;
   ss << "net:" << net.name() << '\n';
   ss << "pi:";
   for (std::size_t i = 0; i < net.num_pis(); ++i) {
-    ss << ' ' << net.pi(i) << '=' << net.pi_name(i);
+    ss << ' ' << uint64_t{net.pi(i)} << '=' << net.pi_name(i);
   }
   ss << '\n';
   for (NodeId id = 0; id < net.size(); ++id) {
     if (net.is_dead(id)) continue;
     const Node& n = net.node(id);
-    ss << id << ':' << to_string(n.type);
+    ss << uint64_t{id} << ':' << to_string(n.type);
     if (n.type == GateType::T1Port) {
       ss << '.' << to_string(n.port);
     }
     for (uint8_t i = 0; i < n.num_fanins; ++i) {
-      ss << ' ' << n.fanin(i);
+      ss << ' ' << uint64_t{n.fanin(i)};
     }
     ss << '\n';
   }
   ss << "po:";
   for (std::size_t i = 0; i < net.num_pos(); ++i) {
-    ss << ' ' << net.po(i) << '=' << net.po_name(i);
+    ss << ' ' << uint64_t{net.po(i)} << '=' << net.po_name(i);
   }
   ss << '\n';
-  return fnv1a(ss.str());
+  return ss.h;
 }
 
 std::string canonical_text(const PhysicalNetlist& phys) {

@@ -1,8 +1,9 @@
 #include "service/netdiff.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <stdexcept>
 #include <unordered_map>
-
-#include "network/simulation.hpp"
 
 namespace t1sfq::service {
 
@@ -21,13 +22,45 @@ uint64_t mix(uint64_t h, uint64_t v) {
 }
 
 /// Per-node accumulated simulation signature over `pi_words[w][i]` rounds.
+/// All rounds are simulated in one topological walk (round r of node v at
+/// value[v * rounds + r]), folding the same per-round values in round order
+/// as one `simulate_all_words` per round would.
 std::vector<uint64_t> node_signatures(const Network& net,
                                       const std::vector<std::vector<uint64_t>>& pi_words) {
+  const std::size_t rounds = pi_words.size();
+  std::vector<uint64_t> value(net.size() * rounds, 0);
+  for (std::size_t r = 0; r < rounds; ++r) {
+    if (pi_words[r].size() != net.num_pis()) {
+      throw std::invalid_argument("simulate: wrong number of PI words");
+    }
+    for (std::size_t i = 0; i < net.num_pis(); ++i) {
+      value[net.pi(i) * rounds + r] = pi_words[r][i];
+    }
+  }
+  const auto word = [&](NodeId v, std::size_t r) { return value[v * rounds + r]; };
+  for (const NodeId id : net.topo_order()) {
+    const Node& n = net.node(id);
+    uint64_t* out = &value[id * rounds];
+    if (n.type == GateType::Pi) continue;  // seeded above
+    if (n.type == GateType::T1Port) {
+      const Node& body = net.node(n.fanin(0));
+      for (std::size_t r = 0; r < rounds; ++r) {
+        out[r] = Network::eval_word(GateType::T1Port, n.port, word(body.fanin(0), r),
+                                    word(body.fanin(1), r), word(body.fanin(2), r));
+      }
+      continue;
+    }
+    for (std::size_t r = 0; r < rounds; ++r) {
+      const uint64_t a = n.num_fanins > 0 ? word(n.fanin(0), r) : 0;
+      const uint64_t b = n.num_fanins > 1 ? word(n.fanin(1), r) : 0;
+      const uint64_t c = n.num_fanins > 2 ? word(n.fanin(2), r) : 0;
+      out[r] = Network::eval_word(n.type, n.port, a, b, c);
+    }
+  }
   std::vector<uint64_t> acc(net.size(), 0xcbf29ce484222325ull);
-  for (const auto& words : pi_words) {
-    const std::vector<uint64_t> values = simulate_all_words(net, words);
-    for (NodeId id = 0; id < net.size(); ++id) {
-      acc[id] = mix(acc[id], values[id]);
+  for (NodeId id = 0; id < net.size(); ++id) {
+    for (std::size_t r = 0; r < rounds; ++r) {
+      acc[id] = mix(acc[id], word(id, r));
     }
   }
   return acc;
@@ -84,10 +117,29 @@ NetDiff diff_networks(const Network& base, const Network& edited,
   const std::vector<uint64_t> sig_old = node_signatures(base, pi_words);
   const std::vector<uint64_t> sig_new = node_signatures(edited, pi_words);
 
-  std::unordered_map<uint64_t, std::vector<NodeId>> buckets;
+  // Candidates grouped by match key: an open-addressed table of keys, each
+  // slot heading a chain (`next_in_bucket`) of its nodes in id order.
+  const std::size_t slots = std::bit_ceil(std::max<std::size_t>(16, 2 * edited.size()));
+  std::vector<uint64_t> slot_key(slots, 0);
+  std::vector<NodeId> slot_head(slots, kNullNode);
+  std::vector<NodeId> slot_tail(slots, kNullNode);
+  std::vector<NodeId> next_in_bucket(edited.size(), kNullNode);
+  const auto slot_of = [&](uint64_t key) {
+    std::size_t i = key & (slots - 1);
+    while (slot_head[i] != kNullNode && slot_key[i] != key) i = (i + 1) & (slots - 1);
+    return i;
+  };
   for (NodeId n = 0; n < edited.size(); ++n) {
     if (edited.is_dead(n) || edited.node(n).type == GateType::Pi) continue;
-    buckets[match_key(sig_new[n], edited.node(n))].push_back(n);
+    const uint64_t key = match_key(sig_new[n], edited.node(n));
+    const std::size_t i = slot_of(key);
+    if (slot_head[i] == kNullNode) {
+      slot_key[i] = key;
+      slot_head[i] = n;
+    } else {
+      next_in_bucket[slot_tail[i]] = n;
+    }
+    slot_tail[i] = n;
   }
 
   // Old nodes in id order: fanins are visited before fanouts, so the
@@ -95,11 +147,10 @@ NetDiff diff_networks(const Network& base, const Network& edited,
   for (NodeId o = 0; o < base.size(); ++o) {
     if (base.is_dead(o) || base.node(o).type == GateType::Pi) continue;
     const Node& no = base.node(o);
-    const auto it = buckets.find(match_key(sig_old[o], no));
-    if (it == buckets.end()) continue;
     NodeId best = kNullNode;
     int best_score = -1;
-    for (const NodeId n : it->second) {
+    for (NodeId n = slot_head[slot_of(match_key(sig_old[o], no))]; n != kNullNode;
+         n = next_in_bucket[n]) {
       if (d.new_to_old[n] != kNullNode) continue;
       const Node& nn = edited.node(n);
       if (!same_kind(no, nn)) continue;  // hash-collision guard

@@ -1,5 +1,6 @@
 #include "service/protocol.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -211,10 +212,18 @@ bool read_frame(std::istream& in, std::string& payload) {
     throw Error(ErrorCode::InvalidRequest,
                 "frame: payload length " + std::to_string(len) + " exceeds limit");
   }
-  payload.resize(len);
-  in.read(payload.data(), len);
-  if (static_cast<uint32_t>(in.gcount()) != len) {
-    throw Error(ErrorCode::InvalidRequest, "frame: truncated payload");
+  // Grow with the bytes actually received: a corrupt prefix announcing up to
+  // the cap on a short stream must not allocate the announced size first.
+  constexpr std::size_t kChunk = 1u << 16;
+  payload.clear();
+  while (payload.size() < len) {
+    const std::size_t have = payload.size();
+    const std::size_t want = std::min<std::size_t>(len - have, kChunk);
+    payload.resize(have + want);
+    in.read(payload.data() + have, static_cast<std::streamsize>(want));
+    if (static_cast<std::size_t>(in.gcount()) != want) {
+      throw Error(ErrorCode::InvalidRequest, "frame: truncated payload");
+    }
   }
   return true;
 }

@@ -55,15 +55,16 @@ struct EcoSession::State {
   Network mapped;
   CostModel model;
   std::optional<IncrementalView> view;
+  /// Record of the last phase assignment: an ECO replays it and re-evaluates
+  /// only where the edit reaches.
+  ScheduleTrace trace;
+  /// Last served physical netlist; its BLIF is rendered only for
+  /// `return_netlist`, its canonical text only for the verify comparison.
+  PhysicalNetlist physical;
 };
 
 EcoSession::EcoSession(std::string id) : id_(std::move(id)) {}
 EcoSession::~EcoSession() = default;
-
-std::string EcoSession::last_canonical() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return last_canon_;
-}
 
 SessionServe EcoSession::serve(const FlowRequest& request, const SessionConfig& cfg) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -104,7 +105,7 @@ SessionServe EcoSession::serve(const FlowRequest& request, const SessionConfig& 
           last_key_ = key;
           if (cfg.verify) {
             const FlowResult cold = run_flow(base_, params_);
-            if (canonical_text(cold.physical) != last_canon_) {
+            if (canonical_text(cold.physical) != canonical_text(state_->physical)) {
               out.fallback = EcoFallback::Mismatch;
               establish_(request, out.response);
             }
@@ -113,7 +114,11 @@ SessionServe EcoSession::serve(const FlowRequest& request, const SessionConfig& 
       }
     }
     out.response.cache_key = last_key_;
-    out.response.netlist_blif = request.return_netlist ? last_netlist_ : std::string();
+    if (request.return_netlist) {
+      std::ostringstream blif;
+      write_blif(state_->physical.net, blif);
+      out.response.netlist_blif = blif.str();
+    }
   } catch (const std::exception& e) {
     established_ = false;  // state may be half-updated; next request rebuilds
     out.response = FlowResponse{};
@@ -303,6 +308,7 @@ void EcoSession::apply_eco_(const NetDiff& d, Network& clean, FlowResponse& resp
   std::vector<NodeId> old_to_new;
   mapped = mapped.cleanup(&old_to_new);
   view.rebind_after_cleanup(old_to_new);
+  state_->trace.rebind(old_to_new);
 
   std::vector<NodeId> base_map(clean.size(), kNullNode);
   for (NodeId n = 0; n < clean.size(); ++n) {
@@ -330,14 +336,15 @@ void EcoSession::finish_flow_(const Network& golden, FlowMetrics metrics,
   pp.milp_max_nodes = params_.milp_max_nodes;
   pp.output_slack = params_.output_slack;
   const Clock::time_point t0 = Clock::now();
-  const PhaseAssignment assignment = assign_phases(*state_->view, pp);
+  const PhaseAssignment assignment = assign_phases(*state_->view, pp, &state_->trace);
   tm.assign_ms = ms_since(t0);
   if (!assignment.feasible) {
     throw InfeasibleScheduleError("run_flow: no feasible phase assignment");
   }
 
   const Clock::time_point t1 = Clock::now();
-  const PhysicalNetlist physical = insert_dffs(state_->mapped, assignment, params_.clk);
+  state_->physical = insert_dffs(state_->mapped, assignment, params_.clk);
+  const PhysicalNetlist& physical = state_->physical;
   tm.insert_ms = ms_since(t1);
 
   metrics.num_dffs = physical.num_dffs;
@@ -365,10 +372,6 @@ void EcoSession::finish_flow_(const Network& golden, FlowMetrics metrics,
   resp.metrics = metrics;
   resp.timings = tm;
 
-  std::ostringstream blif;
-  write_blif(physical.net, blif);
-  last_netlist_ = blif.str();
-  last_canon_ = canonical_text(physical);
   last_ = resp;
   last_.netlist_blif.clear();
   obs::count("service.session.flows");

@@ -87,10 +87,6 @@ class EcoSession {
   /// failures come back as structured error responses.
   SessionServe serve(const FlowRequest& request, const SessionConfig& cfg);
 
-  /// Canonical form of the last served physical netlist (tests compare this
-  /// against a from-scratch flow's canonical form).
-  std::string last_canonical() const;
-
  private:
   struct State;  // mapped network + pinned IncrementalView (session.cpp)
 
@@ -115,9 +111,7 @@ class EcoSession {
   std::vector<NodeId> base_map_;  ///< base id → mapped id (kNullNode: absorbed)
   std::unique_ptr<State> state_;  ///< mapped network + live view
 
-  FlowResponse last_;          ///< last successful response (netlist stripped)
-  std::string last_netlist_;   ///< BLIF of the last physical netlist
-  std::string last_canon_;     ///< canonical form of the last physical netlist
+  FlowResponse last_;  ///< last successful response (netlist stripped)
 };
 
 }  // namespace t1sfq::service

@@ -57,7 +57,8 @@ TEST_F(ObsTest, CountersGaugesHistograms) {
   obs::ScopedEnable on(true);
   obs::count("c");
   obs::count("c", 4);
-  obs::count("c", 0);  // zero delta must not materialize extra state
+  obs::count("c", 0);  // zero delta adds nothing to an existing counter
+  obs::count("z", 0);  // ... and registers a new one at 0
   obs::gauge_set("g", 3);
   obs::gauge_set("g", -2);
   obs::gauge_max("m", 5);
@@ -72,14 +73,24 @@ TEST_F(ObsTest, CountersGaugesHistograms) {
   EXPECT_EQ(reg.counter("absent"), 0u);
 
   const auto snap = reg.snapshot();
-  ASSERT_EQ(snap.size(), 4u);
-  // snapshot() sorts by name: c, g, h, m.
+  ASSERT_EQ(snap.size(), 5u);
+  // snapshot() sorts by name: c, g, h, m, z.
   EXPECT_EQ(snap[0].name, "c");
   EXPECT_EQ(snap[2].name, "h");
   EXPECT_EQ(snap[2].kind, obs::MetricKind::Histogram);
   EXPECT_EQ(snap[2].count, 2u);
   EXPECT_EQ(snap[2].sum_us, 40u);
   EXPECT_EQ(snap[2].max_us, 30u);
+  EXPECT_EQ(snap[4].name, "z");
+  EXPECT_EQ(snap[4].kind, obs::MetricKind::Counter);
+  EXPECT_EQ(snap[4].count, 0u);
+}
+
+TEST_F(ObsTest, ZeroCountLeavesNoStateWhenDisabled) {
+  obs::set_enabled(false);
+  obs::count("z", 0);
+  obs::count("z");
+  EXPECT_TRUE(obs::Registry::instance().snapshot().empty());
 }
 
 TEST_F(ObsTest, ScopedEnableRestoresState) {

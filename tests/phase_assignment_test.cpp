@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "benchmarks/arith.hpp"
+#include "benchmarks/random_net.hpp"
 #include "core/t1_detection.hpp"
 #include "incr/incremental_view.hpp"
+#include "obs/metrics.hpp"
 
 namespace t1sfq {
 namespace {
@@ -281,6 +283,158 @@ TEST(PhaseAssignment, ViewSeededOverloadMatchesFromScratch) {
   const auto from_view = assign_phases(view, params(4));
   EXPECT_EQ(from_view.stage, from_net.stage);
   EXPECT_EQ(from_view.estimated_dffs, from_net.estimated_dffs);
+}
+
+/// Edits \p net through \p view the way an ECO patch does — one new gate
+/// replaces the \p k-th (mod count) live AND2/OR2, then the network is compacted — and
+/// carries \p trace across the compaction. Kinds: 0 swaps AND2/OR2 (same
+/// structure), 1 moves the second fanin to an earlier node (stages shift
+/// downstream), 2 inverts the first fanin through a new NOT.
+bool edit_through_view(Network& net, IncrementalView& view, ScheduleTrace& trace, unsigned k,
+                       int kind) {
+  std::vector<NodeId> gates;
+  for (NodeId g = 0; g < net.size(); ++g) {
+    const GateType t = net.node(g).type;
+    if (!net.is_dead(g) && (t == GateType::And2 || t == GateType::Or2)) gates.push_back(g);
+  }
+  if (gates.empty()) return false;
+  {
+    const NodeId g = gates[k % gates.size()];
+    const Node n = net.node(g);  // copy: add_raw_gate reallocates
+    NodeId repl = kNullNode;
+    if (kind == 0) {
+      const GateType dual = n.type == GateType::And2 ? GateType::Or2 : GateType::And2;
+      repl = net.add_raw_gate(dual, {n.fanin(0), n.fanin(1)});
+    } else if (kind == 1) {
+      NodeId other = g / 2;
+      while (net.is_dead(other) || other == n.fanin(0) || net.node(other).type == GateType::T1) {
+        ++other;
+      }
+      repl = net.add_raw_gate(n.type, {n.fanin(0), other});
+    } else {
+      const NodeId inv = net.add_raw_gate(GateType::Not, {n.fanin(0)});
+      repl = net.add_raw_gate(n.type, {inv, n.fanin(1)});
+    }
+    view.sync();
+    view.replace(g, repl);
+    view.kill_cone({g});
+    std::vector<NodeId> old_to_new;
+    net = net.cleanup(&old_to_new);
+    view.rebind_after_cleanup(old_to_new);
+    trace.rebind(old_to_new);
+  }
+  return true;
+}
+
+/// A recorded schedule replayed after edits must be exactly the schedule a
+/// from-scratch run computes, over a progression of edits of every kind, with
+/// and without output slack — and the replay must actually serve most runs.
+TEST(PhaseAssignment, TraceReplayAfterEditsMatchesFromScratch) {
+  obs::ScopedEnable observe(true);
+  const uint64_t hits_before = obs::Registry::instance().counter("sched.replay.hits");
+  unsigned edits = 0;
+  for (const Stage slack : {Stage{0}, Stage{2}}) {
+    for (int kind = 0; kind < 3; ++kind) {
+      Network net = bench::random_network(5 + kind, 24, 1500, bench::RandomPoPolicy::AllSinks,
+                                          /*plant_cone_every=*/150)
+                        .cleanup();
+      const CostModel model(CellLibrary{}, AreaConfig{}, MultiphaseConfig{4});
+      IncrementalView view(net, model, /*track_plan=*/true);
+      detect_and_replace_t1(net, model, T1DetectionParams{}, &view);
+      PhaseAssignmentParams p = params(4);
+      p.output_slack = slack;
+
+      ScheduleTrace trace;
+      const auto first = assign_phases(view, p, &trace);
+      ASSERT_TRUE(trace.recorded());
+      EXPECT_EQ(first.stage, assign_phases(view, p).stage);
+
+      for (unsigned e = 0; e < 12; ++e) {
+        ASSERT_TRUE(edit_through_view(net, view, trace, 7 + e * 53, kind));
+        ++edits;
+        const auto replayed = assign_phases(view, p, &trace);
+        const auto scratch = assign_phases(view, p);
+        ASSERT_TRUE(scratch.feasible);
+        ASSERT_EQ(replayed.stage, scratch.stage) << "kind " << kind << ", edit " << e;
+        EXPECT_EQ(replayed.output_stage, scratch.output_stage);
+        EXPECT_EQ(replayed.estimated_dffs, scratch.estimated_dffs);
+      }
+    }
+  }
+  // Edits that shift the sink stage or reach T1 logic run the plain sweep.
+  const uint64_t hits = obs::Registry::instance().counter("sched.replay.hits") - hits_before;
+  EXPECT_GE(hits * 2, edits) << "replay served too few edits";
+}
+
+/// An edit that shifts the ASAP stages of a whole downstream chain: the
+/// replay must re-evaluate every node whose inputs moved, far outside the
+/// edit's own neighbourhood, and still land on the from-scratch schedule.
+TEST(PhaseAssignment, TraceReplayFollowsStagesTheEditShifts) {
+  obs::ScopedEnable observe(true);
+  Network net;
+  const NodeId a = net.add_pi("a");
+  const NodeId b = net.add_pi("b");
+  const NodeId c = net.add_pi("c");
+  std::vector<NodeId> longer{a};  // critical chain: fixes the sink stage
+  for (unsigned i = 0; i < 256; ++i) {
+    longer.push_back(i % 2 ? net.add_and(longer.back(), c) : net.add_xor(longer.back(), c));
+  }
+  net.add_po(longer.back(), "long");
+  // A shorter chain side-fed from the long one: plenty of slack to move in.
+  std::vector<NodeId> shorter{b};
+  for (unsigned i = 0; i < 96; ++i) {
+    const NodeId side = longer[2 * i + 1];
+    shorter.push_back(i % 2 ? net.add_xor(shorter.back(), side)
+                            : net.add_and(shorter.back(), side));
+  }
+  net.add_po(shorter.back(), "short");
+
+  const CostModel model(CellLibrary{}, AreaConfig{}, MultiphaseConfig{4});
+  IncrementalView view(net, model, /*track_plan=*/true);
+  ScheduleTrace trace;
+  assign_phases(view, params(4), &trace);
+
+  // shorter[1] = AND(b, longer[1]) becomes AND(NOT b, longer[1]).
+  const NodeId inv = net.add_raw_gate(GateType::Not, {b});
+  const NodeId repl = net.add_raw_gate(GateType::And2, {inv, longer[1]});
+  view.sync();
+  view.replace(shorter[1], repl);
+  view.kill_cone({shorter[1]});
+  std::vector<NodeId> old_to_new;
+  net = net.cleanup(&old_to_new);
+  view.rebind_after_cleanup(old_to_new);
+  trace.rebind(old_to_new);
+
+  const uint64_t hits = obs::Registry::instance().counter("sched.replay.hits");
+  const auto replayed = assign_phases(view, params(4), &trace);
+  EXPECT_EQ(obs::Registry::instance().counter("sched.replay.hits"), hits + 1);
+  const auto scratch = assign_phases(view, params(4));
+  EXPECT_EQ(replayed.stage, scratch.stage);
+  EXPECT_EQ(replayed.estimated_dffs, scratch.estimated_dffs);
+}
+
+/// Only heuristic runs are recorded: an exact-engine run drops the record,
+/// and a record never leaks a schedule into an unrelated network.
+TEST(PhaseAssignment, TraceIsDroppedByMilpAndHarmlessOnOtherNetworks) {
+  Network net;
+  const Word a = add_pi_word(net, 6, "a");
+  const Word b = add_pi_word(net, 6, "b");
+  add_po_word(net, ripple_carry_adder(net, a, b, net.get_const0()), "s");
+  const CostModel model(CellLibrary{}, AreaConfig{}, MultiphaseConfig{4});
+  const IncrementalView view(net, model);
+
+  ScheduleTrace trace;
+  assign_phases(view, params(4), &trace);
+  ASSERT_TRUE(trace.recorded());
+  assign_phases(view, params(4, PhaseEngine::ExactMilp), &trace);
+  EXPECT_FALSE(trace.recorded());
+
+  // A record of one network, offered to another without a rebind.
+  assign_phases(view, params(4), &trace);
+  Network other = chain(9);
+  const IncrementalView other_view(other, model);
+  const auto replayed = assign_phases(other_view, params(4), &trace);
+  EXPECT_EQ(replayed.stage, assign_phases(other, params(4)).stage);
 }
 
 }  // namespace

@@ -313,13 +313,28 @@ TEST_F(ResultDbTest, GateBoundsWorkCountersAndNamesTheGrownOne) {
             std::string::npos)
       << rep.findings[0].message;
 
-  // An absent counter reads 0: growth from an unrecorded reference fails,
-  // a counter that stops firing is a decrease.
+  // A counter absent from the reference reads 0: growth from an unrecorded
+  // reference fails.
   db.rows[0].counters = {{"incr.stage_relaxations", 1000}};
   rep = obs::gate_against_history(db, {cur}, {});
   EXPECT_FALSE(rep.ok());
   EXPECT_EQ(rep.checked_counters, 2u);
+
+  // A counter the reference carries must not vanish: zero counts are
+  // recorded, so absence means it was renamed or unhooked.
   cur.counters = {};
+  rep = obs::gate_against_history(db, {cur}, {});
+  EXPECT_FALSE(rep.ok());
+  ASSERT_EQ(rep.findings.size(), 1u);
+  EXPECT_NE(rep.findings[0].message.find("counter incr.stage_relaxations missing"),
+            std::string::npos)
+      << rep.findings[0].message;
+  EXPECT_NE(rep.findings[0].message.find("renamed or unhooked"), std::string::npos);
+  db.rows[0].counters = {{"incr.full_rebuilds", 0}};
+  cur.counters = {};
+  rep = obs::gate_against_history(db, {cur}, {});
+  EXPECT_FALSE(rep.ok()) << "a zero-valued reference counter must not vanish either";
+  cur.counters = {{"incr.full_rebuilds", 0}};
   rep = obs::gate_against_history(db, {cur}, {});
   EXPECT_TRUE(rep.ok());
 }

@@ -34,6 +34,15 @@ TEST(T1Cell, RejectsWrongArity) {
   EXPECT_FALSE(classify_t1_function(xor4).has_value());
 }
 
+TEST(T1Cell, LookupTableAgreesOnAllThreeVariableFunctions) {
+  for (unsigned f = 0; f < 256; ++f) {
+    TruthTable tt(3);
+    tt.set_word(0, f);
+    EXPECT_EQ(classify_t1_word(static_cast<uint8_t>(f)), classify_t1_function(tt))
+        << "0x" << tt.to_hex();
+  }
+}
+
 TEST(T1Cell, AreaOfFullAdderConfiguration) {
   const CellLibrary lib;
   // S + C: the paper's 29 JJ full adder.

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "benchmarks/arith.hpp"
+#include "benchmarks/random_net.hpp"
+#include "benchmarks/suite.hpp"
 #include "core/phase_assignment.hpp"
 #include "cost/cost_model.hpp"
 #include "network/equivalence.hpp"
 #include "network/simulation.hpp"
+#include "obs/metrics.hpp"
 
 namespace t1sfq {
 namespace {
@@ -229,6 +235,82 @@ TEST(T1Detection, GuardProbeThresholdSwitchesToEnvelopeAndStaysShallow) {
   // Below the threshold the counterfactual probe is measured and the result
   // is unchanged from the historical behavior (same commits, same network).
   EXPECT_EQ(probe_stats.found, env_stats.found);
+}
+
+// -- Bit-identity pins ----------------------------------------------------------
+//
+// FNV-1a over the rewritten network (every node's type, fanins, port and
+// liveness, then the PI and PO lists) and the returned statistics. The
+// constants were recorded with the map-based cut enumerator and grouping that
+// the flat kernel replaced: any change to which candidates are found, in
+// which order they are priced or committed, moves them.
+
+uint64_t fnv_mix(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+uint64_t detection_digest(const Network& net, const T1DetectionStats& s) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  h = fnv_mix(h, net.size());
+  for (NodeId id = 0; id < net.size(); ++id) {
+    const Node& n = net.node(id);
+    h = fnv_mix(h, static_cast<uint64_t>(n.type));
+    h = fnv_mix(h, n.num_fanins);
+    for (unsigned i = 0; i < n.num_fanins; ++i) {
+      h = fnv_mix(h, n.fanin(i));
+    }
+    h = fnv_mix(h, static_cast<uint64_t>(n.port));
+    h = fnv_mix(h, n.dead);
+  }
+  for (const NodeId p : net.pis()) {
+    h = fnv_mix(h, p);
+  }
+  for (const NodeId p : net.pos()) {
+    h = fnv_mix(h, p);
+  }
+  h = fnv_mix(h, s.found);
+  h = fnv_mix(h, s.used);
+  return fnv_mix(h, static_cast<uint64_t>(s.estimated_gain));
+}
+
+TEST(T1Detection, ScaledSuiteResultIsBitIdenticalToThePinnedDigest) {
+  const std::map<std::string, uint64_t> pinned = {
+      {"adder", 0x0beae1e4d04c5f61ull},      {"c7552", 0x6d4e36f77157af24ull},
+      {"c6288", 0xa03b862f1a6b5a96ull},      {"sin", 0x23888acec20c8010ull},
+      {"voter", 0xdab88db16369dc96ull},      {"square", 0x2c9b9273b2092759ull},
+      {"multiplier", 0x0335c7374e610552ull}, {"log2", 0x0c1e2a04e7b78343ull}};
+  std::size_t checked = 0;
+  for (const auto& c : bench::make_suite_scaled(4)) {
+    Network net = c.generate();
+    const T1DetectionStats s = detect_and_replace_t1(net, CellLibrary{});
+    ASSERT_EQ(pinned.count(c.name), 1u) << c.name;
+    EXPECT_EQ(detection_digest(net, s), pinned.at(c.name))
+        << c.name << ": found " << s.found << " used " << s.used << " gain "
+        << s.estimated_gain;
+    ++checked;
+  }
+  EXPECT_EQ(checked, pinned.size());
+}
+
+TEST(T1Detection, PlantedConeResultIsBitIdenticalAcrossRoundsWithBarriers) {
+  // 3k gates with carry-chained planted cones: later rounds enumerate cuts
+  // over the T1 bodies and ports the earlier rounds committed.
+  obs::Registry::instance().reset();
+  obs::ScopedEnable on(true);
+  Network net = bench::random_network(7, 64, 3000, bench::RandomPoPolicy::AllSinks,
+                                      /*plant_cone_every=*/24);
+  const T1DetectionStats s = detect_and_replace_t1(net, CellLibrary{});
+  EXPECT_EQ(s.found, 140u);
+  EXPECT_EQ(s.used, 103u);
+  EXPECT_EQ(s.estimated_gain, 1514);
+  // Two runs (the schedule-aware guard's counterfactual and the real one):
+  // more than two rounds means some round met committed T1 barriers.
+  EXPECT_GT(obs::Registry::instance().counter("detect.rounds"), 2u);
+  EXPECT_EQ(detection_digest(net, s), 0x93d6c8cecb23aba9ull);
 }
 
 }  // namespace
