@@ -34,8 +34,9 @@
 ///   result history (bench_history.jsonl) via `dbtool gate`.
 ///   --db <path> appends the same records to the append-only result DB,
 ///   stamped with commit/branch/build/host (see src/obs/resultdb.hpp).
-///   (Per-record obs counters are not captured here: jobs run concurrently
-///   and the registry is process-wide.)
+///   Either flag turns obs recording on, and each record carries the
+///   counters its own job recorded (an obs::CounterCapture per job), so the
+///   work-counter gate sees Table-I work per (benchmark, flow).
 
 #include <atomic>
 #include <chrono>
@@ -51,6 +52,7 @@
 #include "core/report.hpp"
 #include "network/equivalence.hpp"
 #include "network/simulation.hpp"
+#include "obs/metrics.hpp"
 #include "sfq/pulse_sim.hpp"
 #include "verify/physics_check.hpp"
 
@@ -93,6 +95,7 @@ int main(int argc, char** argv) {
     rows[b].name = suite[b].name;
     for (int flow = 0; flow < 3; ++flow) {
       pairs.push_back([&, b, flow](std::ostream& log) {
+        const obs::CounterCapture capture;
         const auto& c = suite[b];
         const Network net = c.generate();
         FlowParams p;
@@ -178,8 +181,12 @@ int main(int argc, char** argv) {
                 << " + pulse-level)\n";
           }
         }
+        bench::capture_counters(rec, capture);
       });
     }
+  }
+  if (!json_path.empty() || !db_path.empty()) {
+    obs::set_enabled(true);
   }
   bench::run_jobs(std::move(pairs), std::cerr, jobs);
 

@@ -57,6 +57,12 @@ void capture_counters(BenchRecord& out) {
                             static_cast<int64_t>(cache.bytes_written));
 }
 
+void capture_counters(BenchRecord& out, const obs::CounterCapture& scope) {
+  for (const auto& [name, count] : scope.counters()) {
+    out.counters.emplace_back(name, static_cast<int64_t>(count));
+  }
+}
+
 bool write_records(const std::string& path, const std::string& bench,
                    const std::vector<BenchRecord>& records) {
   std::ofstream os(path);

@@ -34,6 +34,10 @@
 #include <utility>
 #include <vector>
 
+namespace t1sfq::obs {
+class CounterCapture;
+}
+
 namespace t1sfq::bench {
 
 struct BenchRecord {
@@ -56,6 +60,11 @@ uint64_t config_hash(const std::string& config);
 /// effectiveness is part of every trajectory even when the registry mirror
 /// was off for part of the run.
 void capture_counters(BenchRecord& out);
+
+/// Copies the counters one job's `obs::CounterCapture` scope saw into
+/// \p out.counters (for benches whose jobs share the process registry
+/// concurrently; no histograms, no process-wide disk-cache totals).
+void capture_counters(BenchRecord& out, const obs::CounterCapture& scope);
 
 /// Writes the document; returns false (with a note on stderr) on I/O failure.
 bool write_records(const std::string& path, const std::string& bench,

@@ -214,19 +214,115 @@ int64_t price_candidate(const Network& net, const CostModel& model,
   return gain;
 }
 
+/// What the ASAP-only primary run of a counterfactual detection records, so
+/// that once the counterfactual latency is known the caller can tell whether
+/// the schedule-aware run would decide any candidate differently (see
+/// detect_and_replace_t1). Only two kinds of guard evaluation can differ:
+/// an accept whose sink cycle passes the latency cap (the schedule-aware run
+/// declines it), and a reject the rescue would accept within the cap (the
+/// schedule-aware run commits it).
+struct ProbeLog {
+  struct Event {
+    enum class Kind {
+      Accept,      ///< an accept: diverges past the cap
+      Rescue,      ///< a reject the rescue accepts: diverges within the cap
+      Unverified,  ///< a reject past the entry cycle, rescue not asked
+    };
+    std::size_t index;   ///< guard evaluation index, counted across rounds
+    unsigned round;
+    Stage trial_cycles;  ///< balanced-sink cycle with the commit applied
+    Kind kind;
+  };
+  std::vector<Stage> entry_cycles;  ///< per round: sink cycle at round entry
+  /// In evaluation order, the evaluations past their round's entry cycle
+  /// that are accepts or rejects, and the rejects within it that the rescue
+  /// accepts. An accept within the entry cycle is within every cap. A reject
+  /// past it is rescued only if the cap ends up above the entry cycle, so
+  /// its refiner call is left to a rerun (a would-be rescue within the cap
+  /// counts as a divergence).
+  std::vector<Event> events;
+  /// A Rescue was logged: it is within every cap, so the runs diverge and
+  /// nothing further is logged.
+  bool settled = false;
+
+  /// First logged evaluation at which the schedule-aware run with latency
+  /// envelope \p cap0 may decide differently (round r caps at
+  /// max(cap0, entry cycle of r), as detect_round ratchets it). Every rescue
+  /// the schedule-aware run attempts before it declines.
+  std::optional<Event> first_divergence(Stage cap0) const {
+    for (const Event& e : events) {
+      const Stage cap = std::max(cap0, entry_cycles[e.round]);
+      if (e.kind == Event::Kind::Accept ? e.trial_cycles > cap : e.trial_cycles <= cap) {
+        return e;
+      }
+    }
+    return std::nullopt;
+  }
+};
+
+/// How one detection run's commit guard treats the schedule-aware rescue.
+struct GuardRun {
+  enum class Mode {
+    AsapOnly,       ///< estimate-only guard: no rescue, no latency envelope
+    Probe,          ///< AsapOnly decisions, logged into `log`
+    ScheduleAware,  ///< rescue plus latency envelope
+  };
+  Mode mode = Mode::AsapOnly;
+  ProbeLog* log = nullptr;
+  /// ScheduleAware: leading guard evaluations this run shares with a probe
+  /// that did not diverge there, so every rescue among them declines.
+  std::size_t shared_prefix = 0;
+  /// ScheduleAware: the evaluation right after the shared prefix (same
+  /// state) is a rescue the probe already found to accept.
+  bool rescue_ends_prefix = false;
+  std::size_t evaluated = 0;  ///< guard evaluations so far, across rounds
+};
+
+/// The schedule-aware rescue's verdict on a commit the ASAP estimate
+/// rejects: do a few local stage sweeps around the new \p body recover the
+/// loss, net of the DFF-lambda premium on the landing DFFs the commit adds?
+/// Reads the view only (the refinement is a scratch assignment).
+bool rescue_accepts(const Network& net, const CostModel& model, const IncrementalView& ctx,
+                    const T1DetectionParams& params, NodeId body, int64_t trial_est,
+                    int64_t planned_before, int64_t current_est) {
+  ScheduleRefinerParams rp;
+  rp.sweeps = params.guard_sweeps;
+  rp.radius = params.guard_radius;
+  const ScheduleRefiner refiner(ctx, rp);
+  std::vector<NodeId> seeds{body};
+  for (unsigned i = 0; i < 3; ++i) {
+    seeds.push_back(resolve_producer(net, net.node(body).fanin(i)));
+  }
+  const int64_t refined_planned = refiner.refine(seeds);
+  const int64_t refined_est =
+      trial_est - (ctx.planned_dffs() - refined_planned) * model.dff_jj();
+  // The lambda term prices the DFF trade the raw refined estimate cannot
+  // see. The refinement is hypothetical — each rescue's scratch descent
+  // assumes the rest of the network realigns around it, and the final
+  // assignment cannot realize every rescue's private schedule at once —
+  // while the *committed* state keeps the ASAP plan: `trial - before`
+  // landing DFFs that stretch the spines later candidates price against and
+  // push the balanced sink later. Those committed DFFs are charged at a
+  // premium, so a rescue must clear a margin proportional to the chains it
+  // actually lands.
+  const int64_t dff_increase = std::max<int64_t>(0, ctx.planned_dffs() - planned_before);
+  const int64_t premium = static_cast<int64_t>(std::llround(
+      params.guard_dff_lambda * static_cast<double>(model.dff_jj() * dff_increase)));
+  return refined_est + premium <= current_est;
+}
+
 /// One detection sweep; commits greedily and reports the round statistics.
 /// \p found_keys carries the leaf triples already counted as "found" by
 /// earlier rounds (node ids stay stable across rounds; the network is only
 /// compacted after the last round), so re-discovered candidates are not
 /// double-counted in the Table-I statistic.
 /// \p cycle_cap is the schedule-aware latency budget: the deepest balanced-
-/// sink cycle any commit of this detection run may reach (anchored at the
-/// pre-detection schedule by the caller; only enforced while the
-/// schedule-aware guard is active).
+/// sink cycle any commit of this detection run may reach (anchored by the
+/// caller; only enforced in `GuardRun::Mode::ScheduleAware`).
 T1DetectionStats detect_round(Network& net, const CostModel& model,
                               const T1DetectionParams& params, Stage cycle_cap,
                               std::set<std::array<NodeId, 3>>& found_keys,
-                              IncrementalView& ctx) {
+                              IncrementalView& ctx, GuardRun& guard) {
   T1DetectionStats stats;
   const CellLibrary& lib = model.lib();
 
@@ -365,9 +461,16 @@ T1DetectionStats detect_round(Network& net, const CostModel& model,
   // Cycles already spent (by earlier rounds, or a deep seed) are not
   // re-charged: the cap only gates *new* boundary crossings of this round.
   int64_t current_est = 0;
+  Stage entry_cycles = 0;
   if (guarded) {
-    cycle_cap = std::max(cycle_cap, model.clk().cycles(ctx.output_stage() - 1));
+    entry_cycles = model.clk().cycles(ctx.output_stage() - 1);
+    cycle_cap = std::max(cycle_cap, entry_cycles);
     current_est = static_cast<int64_t>(ctx.estimate().total());
+  }
+  ProbeLog* const log = guard.mode == GuardRun::Mode::Probe ? guard.log : nullptr;
+  const unsigned round = log != nullptr ? static_cast<unsigned>(log->entry_cycles.size()) : 0;
+  if (log != nullptr) {
+    log->entry_cycles.push_back(entry_cycles);
   }
   // Guard decision counters: locals flushed to the obs registry at round end
   // (the commit loop is hot at scaling-bench sizes).
@@ -407,49 +510,43 @@ T1DetectionStats detect_round(Network& net, const CostModel& model,
         std::max(journal_depth_max,
                  static_cast<int64_t>(undos.size() + killed_closure.size()));
     if (guarded) {
-      int64_t trial_est = static_cast<int64_t>(ctx.estimate().total());
-      // Latency envelope (schedule-aware mode only, so the decision stream
-      // is untouched when the rescue is off): no commit — rescued or plain —
-      // may push the balanced sink past the cycle the ASAP-only
-      // counterfactual flow ends at (measured by the caller, plus
-      // `guard_latency_budget` extra cycles). The estimate prices area only;
-      // on rescue-reshaped landscapes marginal accepts otherwise spend whole
-      // pipeline cycles for single-digit JJ margins, which Table I reports
-      // as a depth regression.
+      const int64_t trial_est = static_cast<int64_t>(ctx.estimate().total());
       const Stage trial_cycles = model.clk().cycles(ctx.output_stage() - 1);
-      const bool within_budget =
-          !params.schedule_aware_guard || trial_cycles <= cycle_cap;
-      bool accept = within_budget && trial_est <= current_est;
-      if (!accept && within_budget && params.schedule_aware_guard) {
-        ++rescue_attempts;
-        ScheduleRefinerParams rp;
-        rp.sweeps = params.guard_sweeps;
-        rp.radius = params.guard_radius;
-        const ScheduleRefiner refiner(ctx, rp);
-        std::vector<NodeId> seeds{body};
-        for (unsigned i = 0; i < 3; ++i) {
-          seeds.push_back(resolve_producer(net, net.node(body).fanin(i)));
+      const std::size_t index = guard.evaluated++;
+      bool accept = trial_est <= current_est;
+      if (log != nullptr && !log->settled) {
+        // Record what the schedule-aware run could decide differently here.
+        using Kind = ProbeLog::Event::Kind;
+        if (trial_cycles > entry_cycles) {
+          log->events.push_back(
+              {index, round, trial_cycles, accept ? Kind::Accept : Kind::Unverified});
+        } else if (!accept) {
+          ++rescue_attempts;
+          if (rescue_accepts(net, model, ctx, params, body, trial_est, planned_before,
+                             current_est)) {
+            log->events.push_back({index, round, trial_cycles, Kind::Rescue});
+            log->settled = true;
+          }
         }
-        const int64_t refined_planned = refiner.refine(seeds);
-        const int64_t refined_est =
-            trial_est - (ctx.planned_dffs() - refined_planned) * model.dff_jj();
-        // The lambda term prices the DFF trade the raw refined estimate
-        // cannot see. The refinement is hypothetical — each rescue's
-        // scratch descent assumes the rest of the network realigns around
-        // it, and the final assignment cannot realize every rescue's
-        // private schedule at once — while the *committed* state keeps the
-        // ASAP plan: `trial - before` landing DFFs that stretch the spines
-        // later candidates price against and push the balanced sink later.
-        // Those committed DFFs are charged at a premium, so a rescue must
-        // clear a margin proportional to the chains it actually lands.
-        const int64_t dff_increase =
-            std::max<int64_t>(0, ctx.planned_dffs() - planned_before);
-        const int64_t premium = static_cast<int64_t>(
-            std::llround(params.guard_dff_lambda *
-                         static_cast<double>(model.dff_jj() * dff_increase)));
-        accept = refined_est + premium <= current_est;
-        if (accept) {
-          ++rescues;
+      } else if (guard.mode == GuardRun::Mode::ScheduleAware) {
+        // Latency envelope: no commit — rescued or plain — may push the
+        // balanced sink past the cycle the ASAP-only counterfactual flow ends
+        // at (measured by the caller, plus `guard_latency_budget` extra
+        // cycles). The estimate prices area only; on rescue-reshaped
+        // landscapes marginal accepts otherwise spend whole pipeline cycles
+        // for single-digit JJ margins, which Table I reports as a depth
+        // regression.
+        if (trial_cycles > cycle_cap) {
+          accept = false;
+        } else if (!accept && index >= guard.shared_prefix) {
+          if (index == guard.shared_prefix && guard.rescue_ends_prefix) {
+            accept = true;
+          } else {
+            ++rescue_attempts;
+            accept = rescue_accepts(net, model, ctx, params, body, trial_est,
+                                    planned_before, current_est);
+          }
+          rescues += accept ? 1 : 0;
         }
       }
       if (!accept) {
@@ -512,6 +609,80 @@ T1DetectionStats detect_round(Network& net, const CostModel& model,
   return stats;
 }
 
+/// Runs up to `max_rounds` detection rounds on \p net through \p view, which
+/// persists across rounds: commits keep it delta-maintained, so round k+1
+/// starts from the dirty set round k left behind instead of an O(n) rebuild.
+/// The end-of-round reachability sweep almost never fires (commits retract
+/// their dangling closure eagerly); when it does kill something the view is
+/// rebuilt. Leaves the network uncompacted.
+T1DetectionStats run_rounds(Network& net, const CostModel& model,
+                            const T1DetectionParams& params, Stage cycle_cap,
+                            IncrementalView& view, GuardRun& guard) {
+  T1DetectionStats stats;
+  std::set<std::array<NodeId, 3>> found_keys;
+  const unsigned rounds = std::max(1u, params.max_rounds);
+  for (unsigned round = 0; round < rounds; ++round) {
+    obs::Span span("detect.round", "round", static_cast<int64_t>(round));
+    const T1DetectionStats r =
+        detect_round(net, model, params, cycle_cap, found_keys, view, guard);
+    if (net.sweep_dangling() > 0) {
+      view.rebuild();
+    }
+    span.arg("committed", static_cast<int64_t>(r.used));
+    stats.found += r.found;
+    stats.used += r.used;
+    stats.estimated_gain += r.estimated_gain;
+    if (r.used == 0) {
+      break;  // fixed point: further rounds see the same landscape
+    }
+  }
+  return stats;
+}
+
+/// Finishes a counterfactual detection whose ASAP-only primary run left its
+/// (compacted) result in \p net with statistics \p stats and its log in
+/// \p log. Anchors the latency envelope at that result; when the log shows
+/// that the schedule-aware run would decide a commit differently, runs it
+/// from \p input and keeps its result if it ends with no worse unified-JJ
+/// estimate and no deeper sink. \p view, when given, is the settled view
+/// over \p net; it is handed the kept result's state.
+void settle_counterfactual(Network& net, const CostModel& model,
+                           const T1DetectionParams& params, Network input,
+                           const ProbeLog& log, IncrementalView* view,
+                           T1DetectionStats& stats) {
+  Stage out_probe = 1;
+  asap_stages(net, &out_probe);
+  const Stage cap0 =
+      model.clk().cycles(out_probe - 1) + static_cast<Stage>(params.guard_latency_budget);
+  const std::optional<ProbeLog::Event> divergence = log.first_divergence(cap0);
+  if (!divergence) {
+    return;
+  }
+  obs::count("detect.guard.reruns");
+  GuardRun guard;
+  guard.mode = GuardRun::Mode::ScheduleAware;
+  guard.shared_prefix = divergence->index;
+  guard.rescue_ends_prefix = divergence->kind == ProbeLog::Event::Kind::Rescue;
+  IncrementalView rerun_view(input, model, /*track_plan=*/true);
+  const T1DetectionStats rerun_stats =
+      run_rounds(input, model, params, cap0, rerun_view, guard);
+  std::vector<NodeId> old_to_new;
+  input = input.cleanup(&old_to_new);
+  Stage out_rerun = 1;
+  asap_stages(input, &out_rerun);
+  if (model.network_breakdown(input).total() > model.network_breakdown(net).total() ||
+      model.clk().cycles(out_rerun - 1) > model.clk().cycles(out_probe - 1)) {
+    obs::count("detect.counterfactual_kept");
+    return;
+  }
+  if (view != nullptr) {
+    rerun_view.rebind_after_cleanup(old_to_new);
+    view->swap_state(rerun_view);
+  }
+  std::swap(net, input);
+  stats = rerun_stats;
+}
+
 }  // namespace
 
 T1DetectionStats detect_and_replace_t1(Network& net, const CostModel& model,
@@ -522,11 +693,8 @@ T1DetectionStats detect_and_replace_t1(Network& net, const CostModel& model,
 T1DetectionStats detect_and_replace_t1(Network& net, const CostModel& model,
                                        const T1DetectionParams& params,
                                        IncrementalView* reuse_view) {
-  T1DetectionStats stats;
-  std::set<std::array<NodeId, 3>> found_keys;
-  // Schedule-aware mode runs against a measured *counterfactual*: the same
-  // detection with the rescue off, on a probe copy. The counterfactual
-  // serves twice —
+  // Schedule-aware mode is defined against a measured *counterfactual*: the
+  // same detection with the rescue off. The counterfactual serves twice —
   //   * its final latency is the envelope no schedule-aware commit may
   //     exceed (a constant budget cannot work: the ASAP-only cascade
   //     legitimately spends a different number of extra cycles at different
@@ -540,23 +708,26 @@ T1DetectionStats detect_and_replace_t1(Network& net, const CostModel& model,
   //     counterfactual is kept. The rescue is therefore an improvement or a
   //     no-op by construction, never a regression, which is what lets it
   //     default on.
-  // Cost: detection runs twice in schedule-aware mode (milliseconds at
-  // Table-I scale; the large-network scaling bench pins the rescue off).
-  Stage cycle_cap = std::numeric_limits<Stage>::max() / 4;
+  // The counterfactual is the primary run, and the schedule-aware run only
+  // executes when it could end differently. Both runs start from the same
+  // network and price the same candidates, so they part ways only where the
+  // schedule-aware guard decides a commit differently: an accept past the
+  // latency cap, or a reject the rescue would accept within it. The primary
+  // run logs both kinds (see ProbeLog), and once its final latency fixes the
+  // cap, an empty divergence check proves the schedule-aware run would
+  // repeat it decision for decision — the final comparison would then keep
+  // that identical result. Otherwise the schedule-aware run executes from a
+  // copy of the input, reusing the primary run's rescue verdicts through the
+  // first divergence, whose state is still shared.
   const bool guarded = params.require_positive_gain && params.dff_aware;
   const bool guard_mode = params.schedule_aware_guard && guarded;
-  // The probe run is quadratic-ish in practice (a full second detection);
-  // past `guard_probe_max_gates` the envelope is anchored at the maintained
+  // Past `guard_probe_max_gates` the envelope is anchored at the maintained
   // incremental depth bound instead (see the param's doc).
   const bool counterfactual =
       guard_mode && net.num_gates() <= params.guard_probe_max_gates;
-  // One view persists across rounds: commits keep it delta-maintained, so
-  // round k+1 starts from the dirty set round k left behind instead of an
-  // O(n) rebuild. The end-of-round reachability sweep almost never fires
-  // (commits retract their dangling closure eagerly); when it does kill
-  // something the view is rebuilt. A caller-supplied view is adopted in
-  // place of a private one when its tracking mode fits, and handed back
-  // alive (rebound through the final cleanup).
+  // A caller-supplied view is adopted in place of a private one when its
+  // tracking mode fits, and handed back alive (rebound through the final
+  // cleanup).
   std::optional<IncrementalView> own;
   IncrementalView* persistent = nullptr;
   if (reuse_view != nullptr && (!guarded || reuse_view->tracks_plan())) {
@@ -566,42 +737,25 @@ T1DetectionStats detect_and_replace_t1(Network& net, const CostModel& model,
     own.emplace(net, model, /*track_plan=*/guarded);
     persistent = &*own;
   }
-  Network fallback_net;
-  T1DetectionStats fallback_stats;
+  const bool adopted = persistent == reuse_view;
+  Stage cycle_cap = std::numeric_limits<Stage>::max() / 4;
+  GuardRun guard;
+  ProbeLog log;
+  Network input;
   if (counterfactual) {
-    fallback_net = net;
-    T1DetectionParams asap_only = params;
-    asap_only.schedule_aware_guard = false;
-    fallback_stats = detect_and_replace_t1(fallback_net, model, asap_only);
-    Stage out0 = 1;
-    asap_stages(fallback_net, &out0);
-    cycle_cap = model.clk().cycles(out0 - 1) +
-                static_cast<Stage>(params.guard_latency_budget);
+    input = net;  // the schedule-aware run's start, should it be needed
+    guard.mode = GuardRun::Mode::Probe;
+    guard.log = &log;
   } else if (guard_mode) {
     // guard_probe_max_gates exceeded: latency envelope from the maintained
     // depth bound, no probe run, no fallback comparison. Strictly tighter cap
     // (anchored at the input latency, which detect_round ratchets per round).
+    guard.mode = GuardRun::Mode::ScheduleAware;
     cycle_cap = model.clk().cycles(persistent->output_stage() - 1) +
                 static_cast<Stage>(params.guard_latency_budget);
     obs::count("detect.guard.probe_skipped");
   }
-  const unsigned rounds = std::max(1u, params.max_rounds);
-  for (unsigned round = 0; round < rounds; ++round) {
-    obs::Span span("detect.round", "round", static_cast<int64_t>(round));
-    const T1DetectionStats r =
-        detect_round(net, model, params, cycle_cap, found_keys, *persistent);
-    if (net.sweep_dangling() > 0) {
-      persistent->rebuild();
-    }
-    span.arg("committed", static_cast<int64_t>(r.used));
-    stats.found += r.found;
-    stats.used += r.used;
-    stats.estimated_gain += r.estimated_gain;
-    if (r.used == 0) {
-      break;  // fixed point: further rounds see the same landscape
-    }
-  }
-  const bool adopted = reuse_view != nullptr && persistent == reuse_view;
+  T1DetectionStats stats = run_rounds(net, model, params, cycle_cap, *persistent, guard);
   if (adopted) {
     std::vector<NodeId> old_to_new;
     net = net.cleanup(&old_to_new);
@@ -611,20 +765,8 @@ T1DetectionStats detect_and_replace_t1(Network& net, const CostModel& model,
     net = net.cleanup();
   }
   if (counterfactual) {
-    Stage out_on = 1, out_off = 1;
-    asap_stages(net, &out_on);
-    asap_stages(fallback_net, &out_off);
-    const uint64_t est_on = model.network_breakdown(net).total();
-    const uint64_t est_off = model.network_breakdown(fallback_net).total();
-    if (est_on > est_off || model.clk().cycles(out_on - 1) >
-                                model.clk().cycles(out_off - 1)) {
-      net = std::move(fallback_net);
-      stats = fallback_stats;  // the kept run's statistics, verbatim
-      if (adopted) {
-        reuse_view->rebuild();  // the swap invalidated the rebound state
-      }
-      obs::count("detect.counterfactual_kept");
-    }
+    settle_counterfactual(net, model, params, std::move(input), log,
+                          adopted ? reuse_view : nullptr, stats);
   }
   if (reuse_view != nullptr && !adopted) {
     reuse_view->rebuild();  // detection could not adopt it; hand it back valid

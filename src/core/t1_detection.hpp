@@ -101,27 +101,42 @@ struct T1DetectionParams {
   /// active, no commit (rescued or plain) may push the balanced sink more
   /// than this many clock cycles past where the *ASAP-only counterfactual*
   /// flow ends. The counterfactual is measured, not assumed — the same
-  /// detection runs with the rescue off on a probe copy (roughly doubling
-  /// detection time, still milliseconds at Table-I scale), and whichever
-  /// result ends with the better unified-JJ estimate and no deeper sink is
-  /// kept. The estimate prices area only; fusion cascades on rescue-reshaped
-  /// landscapes otherwise spend whole pipeline cycles for single-digit JJ
-  /// margins (measured: the optimized voter pays +1 cycle for 2 JJ), which
-  /// Table-I reports as a depth regression. The default 0 makes the rescue
+  /// detection with the rescue off — and whichever result ends with the
+  /// better unified-JJ estimate and no deeper sink is kept. The estimate
+  /// prices area only; fusion cascades on rescue-reshaped landscapes
+  /// otherwise spend whole pipeline cycles for single-digit JJ margins
+  /// (measured: the optimized voter pays +1 cycle for 2 JJ), which Table-I
+  /// reports as a depth regression. The default 0 makes the rescue
   /// latency-neutral by construction: it may fuse freely inside the latency
   /// the ASAP-only guard would have spent anyway.
+  ///
+  /// The counterfactual is the primary run, and the schedule-aware run only
+  /// executes when it could end differently. Both start from the same
+  /// network and price the same candidates; the schedule-aware guard decides
+  /// a commit differently only (a) when it accepts past the latency cap, or
+  /// (b) when the ASAP estimate rejects and the rescue (the same refiner
+  /// call, which never mutates the view) accepts within the cap. The primary
+  /// run logs both kinds — it asks the rescue only for rejects within the
+  /// round's entry cycle, which every cap admits, and logs a reject past it
+  /// as a possible rescue — so once its final latency fixes the cap a log
+  /// with neither proves the schedule-aware run would repeat it decision for
+  /// decision, and the keep-the-better comparison would keep that identical
+  /// result. Only otherwise does the schedule-aware run execute (from a copy
+  /// of the input, reusing the primary run's rescue verdicts through the
+  /// first divergence; `detect.guard.reruns`). The result is bit-identical
+  /// to always running both.
   unsigned guard_latency_budget = 0;
-  /// Probe-cost bound of the schedule-aware guard: the measured ASAP-only
-  /// counterfactual run (which roughly doubles detection time) only executes
-  /// when the network has at most this many gates. Above the bound the
-  /// latency envelope is instead anchored at the *maintained* incremental
-  /// depth bound — the persistent view's output stage at round entry, the
-  /// same anchor `detect_round` ratchets the cap to anyway — with
-  /// `guard_latency_budget` cycles on top, and the keep-the-better-result
-  /// fallback is skipped. Strictly more conservative than the probe (commits
+  /// Gate bound of the measured counterfactual: it only runs when the
+  /// network has at most this many gates. Above the bound the latency
+  /// envelope is instead anchored at the *maintained* incremental depth
+  /// bound — the persistent view's output stage at round entry, the same
+  /// anchor `detect_round` ratchets the cap to anyway — with
+  /// `guard_latency_budget` cycles on top, detection runs once in
+  /// schedule-aware mode, and the keep-the-better-result fallback is
+  /// skipped. Strictly more conservative than the counterfactual (commits
   /// may not deepen the sink past the *input* latency instead of past the
   /// ASAP-only *result* latency), so the no-depth-regression guarantee is
-  /// preserved at a fraction of the cost on large netlists.
+  /// preserved on large netlists without a possible second run.
   std::size_t guard_probe_max_gates = 20000;
 };
 

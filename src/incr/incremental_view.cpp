@@ -220,6 +220,36 @@ void IncrementalView::rebind_after_cleanup(const std::vector<NodeId>& old_to_new
   // id-independent: the compaction changed no live structure.
 }
 
+void IncrementalView::swap_state(IncrementalView& other) {
+  assert(track_plan_ == other.track_plan_ && "swap_state: tracking modes differ");
+  using std::swap;
+  swap(stage_, other.stage_);
+  swap(fanout_, other.fanout_);
+  swap(consumers_, other.consumers_);
+  swap(po_refs_, other.po_refs_);
+  swap(output_stage_, other.output_stage_);
+  swap(output_stage_dirty_, other.output_stage_dirty_);
+  swap(stage_queue_, other.stage_queue_);
+  swap(in_stage_queue_, other.in_stage_queue_);
+  swap(spine_dirty_, other.spine_dirty_);
+  swap(in_spine_dirty_, other.in_spine_dirty_);
+  swap(t1_dirty_, other.t1_dirty_);
+  swap(in_t1_dirty_, other.in_t1_dirty_);
+  swap(plan_spine_, other.plan_spine_);
+  swap(t1_dedicated_, other.t1_dedicated_);
+  swap(total_spine_, other.total_spine_);
+  swap(total_dedicated_, other.total_dedicated_);
+  swap(logic_jj_, other.logic_jj_);
+  swap(dff_node_jj_, other.dff_node_jj_);
+  swap(clocked_cells_, other.clocked_cells_);
+  swap(split_fanout_, other.split_fanout_);
+  swap(split_edges_excess_, other.split_edges_excess_);
+  swap(alap_, other.alap_);
+  swap(alap_valid_, other.alap_valid_);
+  swap(alap_dirty_, other.alap_dirty_);
+  swap(in_alap_dirty_, other.in_alap_dirty_);
+}
+
 void IncrementalView::account_node(NodeId id, int sign) {
   const Node& n = net_.node(id);
   if (n.type == GateType::Dff) {

@@ -207,6 +207,13 @@ public:
   /// reference must be the same object the compacted copy was assigned to.
   void rebind_after_cleanup(const std::vector<NodeId>& old_to_new);
 
+  /// Exchanges every maintained view (not the network references, the model
+  /// or the work counters) with \p other, a view with the same model and
+  /// tracking mode. Paired with `std::swap` of the two networks' contents it
+  /// hands a view over to the network that now holds its structure, with no
+  /// rebuild: detection keeps the schedule-aware rerun's result this way.
+  void swap_state(IncrementalView& other);
+
 private:
   void move_edges(NodeId from, NodeId to, const std::vector<NodeId>& entries,
                   const std::vector<std::size_t>& po_indices);

@@ -44,6 +44,9 @@ namespace {
 
 std::atomic<bool> g_enabled{false};
 
+/// Innermost live CounterCapture of this thread (nullptr: none).
+thread_local CounterCapture* t_capture = nullptr;
+
 bool init_from_env() {
   const char* v = std::getenv("T1SFQ_TRACE");
   const bool on = v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
@@ -81,12 +84,24 @@ ScopedEnable::~ScopedEnable() {
   }
 }
 
+CounterCapture::CounterCapture() : parent_(t_capture) { t_capture = this; }
+
+CounterCapture::~CounterCapture() { t_capture = parent_; }
+
 Registry& Registry::instance() {
   static Registry registry;
   return registry;
 }
 
 void Registry::add(std::string_view name, uint64_t delta) {
+  for (CounterCapture* c = t_capture; c != nullptr; c = c->parent_) {
+    const auto it = c->counters_.find(name);
+    if (it != c->counters_.end()) {
+      it->second += delta;
+    } else {
+      c->counters_.emplace(std::string(name), delta);
+    }
+  }
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = metrics_.find(name);
   if (it != metrics_.end()) {

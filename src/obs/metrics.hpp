@@ -97,6 +97,29 @@ class Registry {
   std::map<std::string, Metric, std::less<>> metrics_;
 };
 
+/// RAII capture of the counter deltas the *calling thread* records while the
+/// scope is alive (zero deltas included, like the registry), for attributing
+/// work to one job of a thread pool. The process registry keeps its sums;
+/// the capture only mirrors them. Scopes nest: an enclosing scope on the
+/// same thread sees everything its inner scopes see. Counts only arrive
+/// while recording is enabled, and work a job hands to other threads is not
+/// captured.
+class CounterCapture {
+ public:
+  CounterCapture();
+  ~CounterCapture();
+  CounterCapture(const CounterCapture&) = delete;
+  CounterCapture& operator=(const CounterCapture&) = delete;
+
+  /// Counter totals captured so far, sorted by name.
+  const std::map<std::string, uint64_t, std::less<>>& counters() const { return counters_; }
+
+ private:
+  friend class Registry;
+  CounterCapture* parent_;
+  std::map<std::string, uint64_t, std::less<>> counters_;
+};
+
 // -- Convenience wrappers: single enabled() branch, then forward. -----------
 
 /// Adds \p delta to a counter. A zero delta still registers the counter (at

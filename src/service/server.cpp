@@ -1,5 +1,6 @@
 #include "service/server.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <istream>
 #include <ostream>
@@ -160,13 +161,27 @@ FlowResponse Server::dispatch(const FlowRequest& request) {
   FlowResponse resp;
   EcoFallback fallback = EcoFallback::None;
   if (!request.session.empty()) {
-    EcoSession* session = nullptr;
+    std::shared_ptr<EcoSession> session;
+    bool evicted = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      std::unique_ptr<EcoSession>& slot = sessions_[request.session];
-      if (!slot) slot = std::make_unique<EcoSession>(request.session);
-      session = slot.get();
+      const auto it = sessions_.find(request.session);
+      if (it != sessions_.end()) {
+        session_lru_.splice(session_lru_.begin(), session_lru_, it->second.second);
+        session = it->second.first;
+      } else {
+        if (sessions_.size() >= std::max<std::size_t>(1, cfg_.max_sessions)) {
+          sessions_.erase(session_lru_.back());
+          session_lru_.pop_back();
+          ++stats_.sessions_evicted;
+          evicted = true;
+        }
+        session = std::make_shared<EcoSession>(request.session);
+        session_lru_.push_front(request.session);
+        sessions_.emplace(request.session, std::make_pair(session, session_lru_.begin()));
+      }
     }
+    if (evicted) obs::count("service.sessions.evicted");
     SessionServe served = session->serve(request, cfg_.session);
     resp = std::move(served.response);
     fallback = served.fallback;
@@ -245,6 +260,7 @@ std::string Server::handle_op_(const Request& req) {
       w.kv("eco", s.eco).kv("eco_fallbacks", s.eco_fallbacks);
       w.kv("eco_mismatches", s.eco_mismatches).kv("errors", s.errors);
       w.kv("sessions", static_cast<uint64_t>(s.sessions));
+      w.kv("sessions_evicted", s.sessions_evicted);
       w.end_object();
       return ss.str();
     }

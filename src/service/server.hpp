@@ -25,7 +25,8 @@
 /// (benchmarks/runner.hpp) whose nested-pool guard keeps a daemon serving
 /// from inside a bench job well-behaved. Per-tier latency lands in
 /// `service.latency.{cold,warm,eco}` histograms; `service.requests` and
-/// `service.errors` count traffic.
+/// `service.errors` count traffic. The session table is an LRU bounded by
+/// `ServerConfig::max_sessions`.
 
 #include <cstdint>
 #include <iosfwd>
@@ -50,6 +51,11 @@ struct ServerConfig {
   /// Record obs metrics for every request (otherwise only requests asking
   /// `observe` are recorded, and only for their own duration).
   bool observe = false;
+  /// Session-table capacity (at least 1): opening a session past it evicts
+  /// the least recently served one (`service.sessions.evicted`), whose next
+  /// request re-establishes cold. Each session holds a mapped network, its
+  /// view and schedule trace, so this bounds a long-lived daemon's memory.
+  std::size_t max_sessions = 256;
 };
 
 class Server {
@@ -80,6 +86,7 @@ class Server {
     uint64_t eco_mismatches = 0;
     uint64_t errors = 0;
     std::size_t sessions = 0;
+    uint64_t sessions_evicted = 0;
   };
   Stats stats() const;
 
@@ -102,7 +109,11 @@ class Server {
   std::list<uint64_t> lru_;
   std::map<uint64_t, std::pair<std::string, std::list<uint64_t>::iterator>> cache_;
 
-  std::map<std::string, std::unique_ptr<EcoSession>> sessions_;
+  // Session table: id → session, LRU eviction past cfg_.max_sessions. Held
+  // by shared_ptr so an evicted session finishes a serve already under way.
+  std::list<std::string> session_lru_;
+  std::map<std::string, std::pair<std::shared_ptr<EcoSession>, std::list<std::string>::iterator>>
+      sessions_;
   std::string disk_dir_;  ///< resolved blob directory ("" = disabled)
 };
 

@@ -71,7 +71,7 @@ struct SessionServe {
 
 /// One circuit's re-synthesis session. Thread-safe (serves are serialized per
 /// session); the instance must stay put (the view pins the mapped network),
-/// so sessions are held by unique_ptr in the server map.
+/// so sessions are held by pointer in the server map.
 class EcoSession {
  public:
   explicit EcoSession(std::string id);

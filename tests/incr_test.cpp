@@ -20,10 +20,12 @@
 #include "core/t1_detection.hpp"
 #include "cost/cost_model.hpp"
 #include "benchmarks/epfl.hpp"
+#include "benchmarks/suite.hpp"
 #include "incr/incremental_view.hpp"
 #include "incr/schedule_refiner.hpp"
 #include "network/mffc.hpp"
 #include "network/simulation.hpp"
+#include "obs/metrics.hpp"
 #include "opt/pass.hpp"
 #include "random_network_test_util.hpp"
 
@@ -308,6 +310,49 @@ TEST(IncrementalView, DetectionAdoptsCallerViewAndHandsItBackValid) {
       view.sync();
       expect_matches_scratch(view, b, model);
     }
+  }
+}
+
+TEST(IncrementalView, DetectionHandsBackTheKeptRunsViewWithoutRebuilding) {
+  // Counterfactual detection keeps the ASAP-only primary run in the caller's
+  // view and runs the schedule-aware rerun on a private one. Both divergent
+  // outcomes must hand back a view bit-equal to a scratch build of the kept
+  // result, with no full rebuild: the rescued result's view is swapped in
+  // (shrink-8 voter), the primary run's stays put (optimized planted cones).
+  const CostModel model = default_model();
+  Network voter("voter");
+  for (const auto& c : bench::make_suite_scaled(8)) {
+    if (c.name == "voter") voter = c.generate();
+  }
+  Network planted = bench::random_network(1, 64, 2000, bench::RandomPoPolicy::AllSinks,
+                                          /*plant_cone_every=*/200);
+  optimize(planted, OptParams{});
+  const struct {
+    Network* input;
+    uint64_t kept;
+  } cases[] = {{&voter, 0}, {&planted, 1}};
+  for (const auto& c : cases) {
+    // Pre-swept, so no detection round has dangling logic to rebuild after.
+    c.input->sweep_dangling();
+    *c.input = c.input->cleanup();
+    Network a = *c.input;
+    const T1DetectionStats ref = detect_and_replace_t1(a, model, T1DetectionParams{});
+
+    obs::Registry::instance().reset();
+    obs::ScopedEnable on(true);
+    Network b = *c.input;
+    IncrementalView view(b, model, /*track_plan=*/true);
+    const T1DetectionStats got = detect_and_replace_t1(b, model, T1DetectionParams{}, &view);
+    EXPECT_EQ(obs::Registry::instance().counter("detect.guard.reruns"), 1u);
+    EXPECT_EQ(obs::Registry::instance().counter("detect.counterfactual_kept"), c.kept);
+    EXPECT_EQ(got.used, ref.used);
+    EXPECT_EQ(got.estimated_gain, ref.estimated_gain);
+    ASSERT_EQ(b.size(), a.size());
+    for (NodeId id = 0; id < b.size(); ++id) {
+      ASSERT_EQ(b.node(id).type, a.node(id).type);
+    }
+    EXPECT_EQ(view.view_stats().full_rebuilds, 0u);
+    expect_matches_scratch(view, b, model);
   }
 }
 

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "benchmarks/record.hpp"
@@ -113,6 +114,48 @@ TEST_F(ObsTest, ScopedEnableRestoresState) {
 
 // Concurrent counting through the same thread pool the suite benches use:
 // every increment must land (the registry mutex, not luck).
+TEST_F(ObsTest, CounterCaptureMirrorsItsOwnJobAndNests) {
+  obs::ScopedEnable on(true);
+  obs::count("job", 7);  // before any scope: registry only
+  constexpr unsigned kJobs = 4;
+  std::vector<std::map<std::string, uint64_t, std::less<>>> seen(kJobs);
+  std::vector<bench::Job> jobs;
+  for (unsigned j = 0; j < kJobs; ++j) {
+    jobs.push_back([&seen, j](std::ostream&) {
+      const obs::CounterCapture outer;
+      obs::count("job", j + 1);
+      {
+        const obs::CounterCapture inner;
+        obs::count("inner", 10);
+        obs::count("zero", 0);  // registered at 0, like the registry
+        EXPECT_EQ(inner.counters().size(), 2u);
+      }
+      seen[j] = outer.counters();
+    });
+  }
+  std::ostringstream sink;
+  bench::run_jobs(std::move(jobs), sink, kJobs);
+
+  for (unsigned j = 0; j < kJobs; ++j) {
+    EXPECT_EQ(seen[j].at("job"), j + 1u) << "job " << j;
+    EXPECT_EQ(seen[j].at("inner"), 10u);
+    EXPECT_EQ(seen[j].at("zero"), 0u);
+  }
+  // The process registry keeps its sums.
+  EXPECT_EQ(obs::Registry::instance().counter("job"), 7u + 1 + 2 + 3 + 4);
+  EXPECT_EQ(obs::Registry::instance().counter("inner"), 10u * kJobs);
+
+  bench::BenchRecord rec;
+  {
+    const obs::CounterCapture scope;
+    obs::count("detect.candidates", 3);
+    bench::capture_counters(rec, scope);
+  }
+  ASSERT_EQ(rec.counters.size(), 1u);
+  EXPECT_EQ(rec.counters[0].first, "detect.candidates");
+  EXPECT_EQ(rec.counters[0].second, 3);
+}
+
 TEST_F(ObsTest, RegistryThreadSafeUnderRunJobs) {
   obs::ScopedEnable on(true);
   constexpr unsigned kJobs = 8;

@@ -20,6 +20,7 @@
 #include "benchmarks/random_net.hpp"
 #include "benchmarks/suite.hpp"
 #include "network/io.hpp"
+#include "obs/metrics.hpp"
 #include "service/netdiff.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
@@ -327,6 +328,44 @@ TEST(ServiceServer, EcoProgressionIsBitIdenticalToCold) {
   EXPECT_EQ(eco.metrics.area_jj, cold.metrics.area_jj);
   EXPECT_EQ(eco.metrics.depth_cycles, cold.metrics.depth_cycles);
   EXPECT_EQ(eco.metrics.t1_used, cold.metrics.t1_used);
+}
+
+TEST(ServiceServer, EvictedSessionReestablishesColdWithACorrectAnswer) {
+  const Network base = sparse_random(400);
+  // An edit an unbounded session table serves on the ECO tier.
+  Network edited("");
+  bool eco_edit = false;
+  for (unsigned k = 0; k < 12 && !eco_edit; ++k) {
+    Server control(ServerConfig{.disk_cache = false});
+    ASSERT_TRUE(control.dispatch(request_for(base, "a")).ok);
+    ASSERT_TRUE(edited_variant(base, 1 + k * 29, &edited));
+    eco_edit = control.dispatch(request_for(edited, "a")).tier == FlowTier::Eco;
+  }
+  ASSERT_TRUE(eco_edit) << "no probe served on the ECO tier";
+
+  obs::Registry::instance().reset();
+  Server server(ServerConfig{.disk_cache = false, .observe = true, .max_sessions = 1});
+  ASSERT_TRUE(server.dispatch(request_for(base, "a")).ok);
+  ASSERT_TRUE(server.dispatch(request_for(tiny_net(), "b")).ok);  // evicts "a"
+  EXPECT_EQ(server.stats().sessions, 1u);
+  EXPECT_EQ(server.stats().sessions_evicted, 1u);
+  EXPECT_EQ(obs::Registry::instance().counter("service.sessions.evicted"), 1u);
+
+  // "a" lost its state: the edit re-establishes cold (evicting "b")...
+  const FlowResponse r = server.dispatch(request_for(edited, "a"));
+  ASSERT_TRUE(r.ok) << r.message;
+  EXPECT_EQ(r.tier, FlowTier::Cold);
+  EXPECT_EQ(server.stats().sessions, 1u);
+  EXPECT_EQ(server.stats().sessions_evicted, 2u);
+  // ...with the answer of an independent cold run of the edited netlist.
+  Server fresh(ServerConfig{.disk_cache = false});
+  const FlowResponse cold = fresh.dispatch(request_for(edited));
+  ASSERT_TRUE(cold.ok) << cold.message;
+  EXPECT_EQ(r.cache_key, cold.cache_key);
+  EXPECT_EQ(r.metrics.num_dffs, cold.metrics.num_dffs);
+  EXPECT_EQ(r.metrics.area_jj, cold.metrics.area_jj);
+  EXPECT_EQ(r.metrics.depth_cycles, cold.metrics.depth_cycles);
+  EXPECT_EQ(r.metrics.t1_used, cold.metrics.t1_used);
 }
 
 TEST(ServiceServer, ConfigChangeFallsBackCold) {

@@ -13,6 +13,7 @@
 #include "network/equivalence.hpp"
 #include "network/simulation.hpp"
 #include "obs/metrics.hpp"
+#include "opt/pass.hpp"
 
 namespace t1sfq {
 namespace {
@@ -307,10 +308,70 @@ TEST(T1Detection, PlantedConeResultIsBitIdenticalAcrossRoundsWithBarriers) {
   EXPECT_EQ(s.found, 140u);
   EXPECT_EQ(s.used, 103u);
   EXPECT_EQ(s.estimated_gain, 1514);
-  // Two runs (the schedule-aware guard's counterfactual and the real one):
-  // more than two rounds means some round met committed T1 barriers.
+  // One ASAP-only primary run, plus the schedule-aware rerun only when the
+  // primary run's guard log shows it could decide differently: more than two
+  // rounds means some round met committed T1 barriers.
   EXPECT_GT(obs::Registry::instance().counter("detect.rounds"), 2u);
   EXPECT_EQ(detection_digest(net, s), 0x93d6c8cecb23aba9ull);
+}
+
+// -- The three outcomes of a counterfactual detection ---------------------------
+//
+// The ASAP-only counterfactual is the primary run; the schedule-aware run
+// executes only when the primary run's guard log proves it could decide a
+// commit differently (`detect.guard.reruns`), and its result is kept unless
+// it ends worse (`detect.counterfactual_kept`). The digests were recorded
+// with the two-run algorithm this replaced, which always ran both.
+
+struct CountedDetection {
+  uint64_t digest = 0;
+  uint64_t reruns = 0;
+  uint64_t kept = 0;
+};
+
+CountedDetection detect_counted(Network net) {
+  obs::Registry::instance().reset();
+  obs::ScopedEnable on(true);
+  const T1DetectionStats s = detect_and_replace_t1(net, CellLibrary{});
+  const obs::Registry& reg = obs::Registry::instance();
+  return {detection_digest(net, s), reg.counter("detect.guard.reruns"),
+          reg.counter("detect.counterfactual_kept")};
+}
+
+Network scaled_suite_circuit(unsigned shrink, const std::string& name) {
+  for (const auto& c : bench::make_suite_scaled(shrink)) {
+    if (c.name == name) return c.generate();
+  }
+  ADD_FAILURE() << "no circuit " << name;
+  return Network("missing");
+}
+
+TEST(T1Detection, CounterfactualWithoutDivergenceRunsOnce) {
+  const CountedDetection d = detect_counted(scaled_suite_circuit(8, "adder"));
+  EXPECT_EQ(d.reruns, 0u);
+  EXPECT_EQ(d.kept, 0u);
+  EXPECT_EQ(d.digest, 0x8ccd7b823e1e5b06ull);
+}
+
+TEST(T1Detection, CounterfactualDivergenceKeepsTheRescuedResult) {
+  // Voter-class majority trees: the rescue converts what the ASAP guard
+  // declines, and the rescued result ends no worse.
+  const CountedDetection d = detect_counted(scaled_suite_circuit(8, "voter"));
+  EXPECT_EQ(d.reruns, 1u);
+  EXPECT_EQ(d.kept, 0u);
+  EXPECT_EQ(d.digest, 0x2ee8fb9ec3fc52d7ull);
+}
+
+TEST(T1Detection, CounterfactualDivergenceKeepsTheProbeResult) {
+  // A 2k-gate planted-cone network behind the default optimizer: the
+  // schedule-aware run ends worse, so the primary run's result stands.
+  Network net = bench::random_network(1, 64, 2000, bench::RandomPoPolicy::AllSinks,
+                                      /*plant_cone_every=*/200);
+  optimize(net, OptParams{});
+  const CountedDetection d = detect_counted(std::move(net));
+  EXPECT_EQ(d.reruns, 1u);
+  EXPECT_EQ(d.kept, 1u);
+  EXPECT_EQ(d.digest, 0xf683491e9ae76c88ull);
 }
 
 }  // namespace

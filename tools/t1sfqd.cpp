@@ -17,10 +17,10 @@
 ///                          response is written; the socket file is removed
 ///                          on exit.
 ///
-/// Every service knob is a flag (see --help): warm-cache capacity, disk-blob
-/// layering, ECO eligibility and shadow verification, batch parallelism, obs
-/// recording. Exit code 0 on clean shutdown/EOF, 1 on transport errors,
-/// 2 on bad flags.
+/// Every service knob is a flag (see --help): warm-cache capacity, session-
+/// table capacity, disk-blob layering, ECO eligibility and shadow
+/// verification, batch parallelism, obs recording. Exit code 0 on clean
+/// shutdown/EOF, 1 on transport errors, 2 on bad flags.
 
 #include <csignal>
 #include <cstring>
@@ -162,6 +162,8 @@ int main(int argc, char** argv) {
       .size_opt("--cache-entries", &cfg.cache_entries, "N",
                 "in-memory warm-cache capacity (0: off)")
       .flag("--no-disk-cache", &no_disk_cache, "skip the on-disk warm-cache blobs")
+      .size_opt("--max-sessions", &cfg.max_sessions, "N",
+                "session-table capacity; the least recently served is evicted (>= 1)")
       .uint_opt("--batch-threads", &cfg.batch_threads, "N",
                 "batch request parallelism (0 = hardware)")
       .double_opt("--eco-max-dirty", &cfg.session.max_dirty_fraction, "F",
@@ -173,6 +175,10 @@ int main(int argc, char** argv) {
   cfg.disk_cache = !no_disk_cache;
   cfg.session.verify = verify_eco;
 
+  if (cfg.max_sessions == 0) {
+    std::cerr << "t1sfqd: --max-sessions must be at least 1\n" << args.usage();
+    return 2;
+  }
   if (stdio == !socket_path.empty()) {
     std::cerr << "t1sfqd: pick exactly one transport (--stdio or --socket <path>)\n"
               << args.usage();
