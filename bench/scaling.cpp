@@ -23,37 +23,20 @@
 /// so T1 detection genuinely converts on it — asserted, so a detection
 /// regression cannot hide behind a convert-nothing family.
 ///
-/// A second mode races the partition-parallel optimization engine
-/// (src/part/, `OptParams::partition_jobs`) against the sequential pipeline
-/// on the same inputs: the opt stage is timed both ways, the partitioned
-/// result is SAT-checked equivalent against the sequential one (two-tier,
-/// bounded budget — only a proven NotEquivalent fails), and the shard-level
-/// sampled SAT checks must report zero rejections.
-///
 /// Usage: scaling [--points g1,g2,...] [--smoke]
-///                [--json <path>] [--db <path>] [--part] [--part-jobs N]
-///                [--part-smoke] [--physics] [--physics-smoke]
-///   --points            gate counts to sweep (default 1000,5000,10000,20000,50000;
-///                       with --part: 20000,50000,200000)
-///   --smoke             CI mode: only the 10k-gate pair (plus a 10k
-///                       partition-race record on the random family). The
-///                       identity and convert-something assertions still
-///                       hard-fail; metrics and work counters are gated by
-///                       CI against the committed result history
-///                       (bench_history.jsonl) via `dbtool gate`.
+///                [--json <path>] [--db <path>] [--physics] [--physics-smoke]
+///   --points            gate counts to sweep (default 1000,5000,10000,20000,50000)
+///   --smoke             CI mode: only the 10k-gate pair. The identity and
+///                       convert-something assertions still hard-fail;
+///                       metrics and work counters are gated by CI against
+///                       the committed result history (bench_history.jsonl)
+///                       via `dbtool gate`.
 ///   --json <path>       write one machine-readable record per circuit
 ///                       (metrics, per-stage wall times, obs counters); also
 ///                       enables the obs registry/spans.
 ///   --db <path>         append the same records to the append-only result DB,
 ///                       stamped with commit/branch/build/host (also enables
 ///                       the obs registry; see src/obs/resultdb.hpp).
-///   --part              partition-parallel sweep only (random family, up to
-///                       the 200k-gate point by default)
-///   --part-jobs N       worker threads for the partitioned engine (default 8)
-///   --part-smoke        CI gate: one 100k-gate point with 4 jobs; exits 1
-///                       unless the partitioned opt stage is >= 1.5x the
-///                       sequential one (and equivalent). Run on a multi-core
-///                       machine — a single hardware thread cannot pass.
 ///   --physics           additionally runs the default T1 flow (optimizer
 ///                       and pass guard on) + the pulse-level physics
 ///                       oracle (verify/physics_check.hpp) on each
@@ -80,11 +63,9 @@
 #include "core/phase_assignment.hpp"
 #include "core/t1_detection.hpp"
 #include "cost/cost_model.hpp"
-#include "network/equivalence.hpp"
 #include "network/network.hpp"
 #include "obs/metrics.hpp"
 #include "opt/pass.hpp"
-#include "part/shard_runner.hpp"
 
 using namespace t1sfq;
 
@@ -158,124 +139,6 @@ StageTimes run_once(const Network& input, Network& final_net) {
   return r;
 }
 
-/// One partition-parallel race: sequential vs sharded opt stage on the same
-/// swept input, partitioned result SAT-checked against the sequential one.
-struct PartRace {
-  double seq_ms = 0;
-  double part_ms = 0;
-  std::size_t gates_in = 0;
-  std::size_t gates_out = 0;
-  uint32_t depth = 0;
-  part::PartitionOptStats stats;
-  EquivalenceResult equiv = EquivalenceResult::Unknown;
-  double speedup() const { return seq_ms / std::max(part_ms, 0.1); }
-};
-
-PartRace race_partition(const Network& input, unsigned jobs,
-                        uint64_t sat_budget) {
-  using clock = std::chrono::steady_clock;
-  Network base = input;
-  base.sweep_dangling();
-  base = base.cleanup();
-
-  OptParams op;
-  op.verify = false;
-  op.rounds = 1;
-
-  Network seq = base;
-  const auto t0 = clock::now();
-  optimize(seq, op);
-  const auto t1 = clock::now();
-
-  OptParams pop = op;
-  pop.partition_jobs = jobs;
-  Network par = base;
-  PartRace r;
-  const auto t2 = clock::now();
-  part::optimize_partitioned(par, pop, &r.stats);
-  const auto t3 = clock::now();
-
-  r.seq_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  r.part_ms = std::chrono::duration<double, std::milli>(t3 - t2).count();
-  r.gates_in = base.num_gates();
-  r.gates_out = par.num_gates();
-  r.depth = par.depth();
-  // Two-tier full-output check with a bounded per-output budget: a proven
-  // NotEquivalent hard-fails the run; a budget-capped Unknown is reported
-  // but passes (the shard-level sampled proofs already ran unconditionally).
-  r.equiv = check_equivalence(par, seq, /*sim_rounds=*/8, sat_budget).result;
-  return r;
-}
-
-/// The partition sweep / CI smoke gate. Returns the process exit code.
-int run_partition_mode(const std::vector<unsigned>& points, unsigned jobs,
-                       double min_speedup, const std::string& json_path,
-                       const std::string& db_path) {
-  const bool emit = !json_path.empty() || !db_path.empty();
-  std::cout << "Partition-parallel opt (src/part/, " << jobs
-            << " jobs vs sequential, 1 round)\n";
-  std::cout << std::setw(14) << "circuit" << std::setw(9) << "gates" << std::setw(11)
-            << "opt(seq)" << std::setw(11) << "opt(part)" << std::setw(9) << "speedup"
-            << std::setw(9) << "regions" << std::setw(9) << "repl" << std::setw(9)
-            << "skip" << std::setw(9) << "satchk" << std::setw(13) << "equiv" << "\n";
-
-  std::vector<bench::BenchRecord> records;
-  bool ok = true;
-  for (const unsigned n : points) {
-    obs::Registry::instance().reset();
-    const Network net = random_case(0xbada55 + n, std::max(8u, n / 16), n);
-    const PartRace r = race_partition(net, jobs, /*sat_budget=*/20000);
-
-    const char* equiv = r.equiv == EquivalenceResult::Equivalent ? "proved"
-                        : r.equiv == EquivalenceResult::Unknown ? "unknown"
-                                                                : "FAIL";
-    std::cout << std::setw(14) << net.name() << std::setw(9) << r.gates_in
-              << std::setw(11) << std::fixed << std::setprecision(1) << r.seq_ms
-              << std::setw(11) << r.part_ms << std::setw(8) << r.speedup() << "x"
-              << std::setw(9) << r.stats.regions << std::setw(9)
-              << r.stats.replaced_roots + r.stats.stitch_replaced_roots
-              << std::setw(9) << r.stats.guard_skipped_roots << std::setw(9)
-              << r.stats.sat_checked_shards << std::setw(13) << equiv << "\n";
-
-    if (r.equiv == EquivalenceResult::NotEquivalent) {
-      std::cout << "FAIL: partitioned result differs from sequential on "
-                << net.name() << "\n";
-      ok = false;
-    }
-    if (r.stats.sat_rejected_shards != 0) {
-      std::cout << "FAIL: " << r.stats.sat_rejected_shards
-                << " shard(s) failed their sampled SAT check on " << net.name()
-                << "\n";
-      ok = false;
-    }
-    if (min_speedup > 0 && r.speedup() < min_speedup) {
-      std::cout << "FAIL: partitioned opt speedup " << std::setprecision(2)
-                << r.speedup() << "x < required " << min_speedup << "x on "
-                << net.name() << " (" << jobs << " jobs)\n";
-      ok = false;
-    }
-
-    if (emit) {
-      bench::BenchRecord rec;
-      rec.circuit = net.name();
-      rec.config = "part jobs=" + std::to_string(jobs) + " opt=1round";
-      rec.metrics = {{"gates", static_cast<int64_t>(r.gates_out)},
-                     {"depth", static_cast<int64_t>(r.depth)},
-                     {"regions", static_cast<int64_t>(r.stats.regions)}};
-      rec.time_ms = {{"opt_seq", r.seq_ms}, {"opt_part", r.part_ms}};
-      bench::capture_counters(rec);
-      records.push_back(std::move(rec));
-    }
-  }
-  if (!ok) {
-    return 1;
-  }
-  if (!bench::emit_records(json_path, db_path, "scaling", records)) {
-    return 1;
-  }
-  return 0;
-}
-
 /// The CI physics-smoke gate: one 10k-gate random flow (opt 1 round, T1 on)
 /// through run_flow with the embedded oracle. run_flow throws on an oracle
 /// failure, so the gate is simply "did the flow complete".
@@ -305,12 +168,8 @@ int run_physics_smoke() {
 int main(int argc, char** argv) {
   std::vector<unsigned> points{1000, 5000, 10000, 20000, 50000};
   bool smoke = false;
-  bool part_mode = false;
-  bool part_smoke = false;
   bool physics = false;
   bool physics_smoke = false;
-  bool points_overridden = false;
-  unsigned part_jobs = 8;
   std::string json_path;
   std::string db_path;
   std::vector<unsigned> points_arg;
@@ -319,15 +178,11 @@ int main(int argc, char** argv) {
       .flag("--smoke", &smoke, "small fixed points for CI")
       .string_opt("--json", &json_path, "path", "write records as JSON")
       .string_opt("--db", &db_path, "path", "append records to result DB")
-      .flag("--part", &part_mode, "partition-parallel optimizer comparison")
-      .uint_opt("--part-jobs", &part_jobs, "N", "partition worker threads")
-      .flag("--part-smoke", &part_smoke, "small partition comparison for CI")
       .flag("--physics", &physics, "physics oracle on each scaling point")
       .flag("--physics-smoke", &physics_smoke, "physics oracle smoke run for CI");
   if (!args.parse(argc, argv)) return 2;
   if (!points_arg.empty()) {
     points = points_arg;
-    points_overridden = true;
   }
   if (physics_smoke) {
     return run_physics_smoke();
@@ -335,16 +190,6 @@ int main(int argc, char** argv) {
   const bool emit = !json_path.empty() || !db_path.empty();
   if (emit) {
     obs::set_enabled(true);
-  }
-  if (part_smoke) {
-    // The CI wall-clock gate: 100k gates, 4 workers, >= 1.5x or exit 1.
-    return run_partition_mode({100000}, 4, 1.5, json_path, db_path);
-  }
-  if (part_mode) {
-    if (points_overridden == false) {
-      points = {20000, 50000, 200000};
-    }
-    return run_partition_mode(points, part_jobs, /*min_speedup=*/0, json_path, db_path);
   }
   if (smoke) {
     points = {10000};
@@ -417,7 +262,7 @@ int main(int argc, char** argv) {
       // Sampled physics validation: the default T1 flow (optimizer and its
       // pass guard on) through the pulse-level oracle on the random family,
       // emitted as its own record so the physics_* metrics enter the
-      // trajectory without touching the race records. The record's label is
+      // trajectory without touching the scaling records. The record's label is
       // the request's own configuration signature.
       if (physics && net.name().rfind("rand", 0) == 0) {
         obs::Registry::instance().reset();
@@ -452,36 +297,6 @@ int main(int argc, char** argv) {
               {"physics_min_margin", report.min_margin},
               {"physics_checked_edges", static_cast<int64_t>(report.checked_edges)}};
           prec.time_ms = {{"physics", pms}, {"flow", fres.timings.total_ms}};
-          bench::capture_counters(prec);
-          records.push_back(std::move(prec));
-        }
-      }
-
-      // Smoke also snapshots the partition-parallel engine on the random
-      // family: gates/depth/regions are deterministic (bit-identical for any
-      // job count, CI gates them exactly); the wall times ride along
-      // ungated. The >= 1.5x wall-clock gate is the separate --part-smoke
-      // step, which runs at 100k gates where the parallelism has room.
-      if (smoke && net.name().rfind("rand", 0) == 0) {
-        obs::Registry::instance().reset();
-        const PartRace pr = race_partition(net, 4, /*sat_budget=*/20000);
-        if (pr.equiv == EquivalenceResult::NotEquivalent ||
-            pr.stats.sat_rejected_shards != 0) {
-          std::cout << "FAIL: partitioned opt unsound on " << net.name() << "\n";
-          ok = false;
-        }
-        std::cout << std::setw(14) << (net.name() + ":part") << std::setw(8)
-                  << pr.gates_in << std::setw(11) << pr.part_ms << " ms ("
-                  << pr.stats.regions << " regions, seq " << pr.seq_ms
-                  << " ms, " << std::setprecision(1) << pr.speedup() << "x)\n";
-        if (emit) {
-          bench::BenchRecord prec;
-          prec.circuit = net.name();
-          prec.config = "part jobs=4 opt=1round";
-          prec.metrics = {{"gates", static_cast<int64_t>(pr.gates_out)},
-                          {"depth", static_cast<int64_t>(pr.depth)},
-                          {"regions", static_cast<int64_t>(pr.stats.regions)}};
-          prec.time_ms = {{"opt_seq", pr.seq_ms}, {"opt_part", pr.part_ms}};
           bench::capture_counters(prec);
           records.push_back(std::move(prec));
         }

@@ -27,12 +27,12 @@ using Job = std::function<void(std::ostream& log)>;
 /// streams each job's log to \p log in job-index order.
 ///
 /// Reentrancy: a `run_jobs` call made *from inside a pool worker* (a job of
-/// an outer run_jobs spawning its own parallel work — e.g. the
-/// partition-parallel optimizer inside a `bench --jobs N` suite) degrades to
-/// the sequential path instead of spawning a nested pool, so the total
-/// worker count stays bounded by the outermost call and results remain
-/// byte-identical. Top-level sequential calls (threads = 1) do not mark the
-/// calling thread, so inner parallelism under `--jobs 1` is preserved.
+/// an outer run_jobs spawning its own parallel work — e.g. a nested `Server`
+/// batch inside a `bench --jobs N` suite) degrades to the sequential path
+/// instead of spawning a nested pool, so the total worker count stays
+/// bounded by the outermost call and results remain byte-identical.
+/// Top-level sequential calls (threads = 1) do not mark the calling thread,
+/// so inner parallelism under `--jobs 1` is preserved.
 void run_jobs(std::vector<Job> jobs, std::ostream& log, unsigned threads = 0);
 
 /// True while the calling thread is a run_jobs pool worker (nested-pool

@@ -137,6 +137,13 @@ struct T1DetectionParams {
   /// may not deepen the sink past the *input* latency instead of past the
   /// ASAP-only *result* latency), so the no-depth-regression guarantee is
   /// preserved on large netlists without a possible second run.
+  ///
+  /// Measured on an 80k-gate planted-cone random net (T1 flow, optimizer
+  /// off, five gate numberings): with no bound the counterfactual's log
+  /// triggers the schedule-aware run (4 detection rounds instead of 2, 840
+  /// candidates instead of 400), detection takes 2.1x as long and the whole
+  /// flow 1.5x, for 822-824 fewer JJ (0.005%) and about 170 fewer DFFs at
+  /// the same depth. The bound keeps that time.
   std::size_t guard_probe_max_gates = 20000;
 };
 

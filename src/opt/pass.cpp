@@ -8,7 +8,6 @@
 #include "opt/balancing.hpp"
 #include "opt/cut_rewriting.hpp"
 #include "opt/resubstitution.hpp"
-#include "part/shard_runner.hpp"
 
 namespace t1sfq {
 
@@ -140,9 +139,6 @@ OptSummary optimize(Network& net, const OptParams& params) {
     summary.depth_before = summary.depth_after = net.depth();
     summary.jj_before = summary.jj_after = params.cost().network_breakdown(net).total();
     return summary;
-  }
-  if (params.partition_jobs > 0) {
-    return part::optimize_partitioned(net, params);
   }
   PassManager manager = PassManager::standard(params);
   return manager.run(net);

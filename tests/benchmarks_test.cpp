@@ -4,10 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <random>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "benchmarks/arith.hpp"
+#include "benchmarks/runner.hpp"
 #include "network/simulation.hpp"
 
 namespace t1sfq {
@@ -180,6 +187,61 @@ TEST(Benchmarks, SquareSharesPartialProducts) {
   const Network mult = bench::epfl_multiplier(8);
   EXPECT_LT(sq.count_of(GateType::And2) + 2 * sq.num_pis(),
             mult.count_of(GateType::And2) + mult.num_pis());
+}
+
+TEST(RunnerReentrancy, NestedRunJobsSerializesInsteadOfStackingPools) {
+  EXPECT_FALSE(bench::in_job_pool());
+
+  std::atomic<int> peak{0};
+  std::atomic<int> active{0};
+  std::vector<int> inner_order;
+
+  std::vector<bench::Job> outer;
+  for (int o = 0; o < 2; ++o) {
+    outer.push_back([&, o](std::ostream& log) {
+      EXPECT_TRUE(bench::in_job_pool());
+      std::vector<bench::Job> inner;
+      for (int i = 0; i < 4; ++i) {
+        inner.push_back([&, o, i](std::ostream&) {
+          const int now = ++active;
+          int seen = peak.load();
+          while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+          }
+          // A nested pool would run inner jobs on fresh (unmarked) threads;
+          // the guard keeps them on this already-pooled thread.
+          EXPECT_TRUE(bench::in_job_pool());
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          --active;
+          log << "inner " << o << "." << i << "\n";
+        });
+      }
+      std::ostringstream sink;
+      bench::run_jobs(std::move(inner), sink, /*threads=*/8);
+      log << "outer " << o << " done\n";
+    });
+  }
+  std::ostringstream log;
+  bench::run_jobs(std::move(outer), log, /*threads=*/2);
+
+  // Each outer worker ran its inner batch sequentially on itself, so at most
+  // the two outer workers were ever concurrently inside inner jobs.
+  EXPECT_LE(peak.load(), 2);
+  EXPECT_FALSE(bench::in_job_pool());
+  // Ordered flush survives nesting.
+  const std::string text = log.str();
+  EXPECT_LT(text.find("outer 0 done"), text.find("outer 1 done"));
+}
+
+TEST(RunnerReentrancy, TopLevelSequentialCallStillAllowsInnerParallelism) {
+  // threads=1 runs jobs on the *calling* thread, which is not a pool worker:
+  // inner parallel work (e.g. a nested `Server` batch under `bench --jobs 1`)
+  // must still be allowed to spawn its own pool.
+  std::vector<bench::Job> outer;
+  outer.push_back([&](std::ostream&) {
+    EXPECT_FALSE(bench::in_job_pool());
+  });
+  std::ostringstream sink;
+  bench::run_jobs(std::move(outer), sink, /*threads=*/1);
 }
 
 }  // namespace

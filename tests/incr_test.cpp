@@ -356,9 +356,9 @@ TEST(IncrementalView, DetectionHandsBackTheKeptRunsViewWithoutRebuilding) {
   }
 }
 
-TEST(IncrementalView, PartitionMergeDetectAssignComposedWithMidFlowCleanup) {
-  // Cross-subsystem regression for the PR-6 detect→assign shared-view path:
-  // partition-parallel optimization reshapes the network, a caller-owned view
+TEST(IncrementalView, OptimizeDetectAssignComposedWithMidFlowCleanup) {
+  // Cross-subsystem regression for the detect→assign shared-view path: the
+  // pre-mapping optimizer reshapes the network, a caller-owned view
   // is rebound through an explicit mid-flow compaction (rebind_after_cleanup),
   // detection adopts that same view (rebinding it again through its own final
   // compaction), and the scheduler is seeded from the maintained state. The
@@ -373,12 +373,8 @@ TEST(IncrementalView, PartitionMergeDetectAssignComposedWithMidFlowCleanup) {
 
     OptParams op;
     op.clk = MultiphaseConfig{4};
-    op.partition_jobs = 3;
-    op.partition_min_gates = 1;  // force the partition/merge path at this size
-    op.partition_max_region = 48;
 
-    // Reference: partitioned optimize, private-view detection, scratch-seeded
-    // scheduler.
+    // Reference: optimize, private-view detection, scratch-seeded scheduler.
     Network ref_net = input;
     optimize(ref_net, op);
     T1DetectionParams det;

@@ -3,8 +3,8 @@
 /// functionally equivalent, timing-legal physical netlist whose DFF count
 /// matches the scheduler's plan (up to landing-DFF sharing). Every third seed
 /// additionally runs the pulse-level physics oracle (verify/physics_check.hpp)
-/// end to end, including partition-parallel and schedule-aware-guard
-/// optimization pipelines.
+/// end to end, including the default optimizer pipeline and the
+/// schedule-aware guard's incremental-anchor path.
 
 #include <gtest/gtest.h>
 
@@ -23,13 +23,13 @@ struct RandomCase {
   uint64_t seed;
   unsigned phases;
   bool use_t1;
-  /// >= 2 exercises the partition-parallel optimizer (thresholds forced low
-  /// so the small random networks actually partition).
-  unsigned partition_jobs = 0;
   /// Forces the schedule-aware guard onto its incremental-anchor path by
-  /// disabling the measured ASAP-only probe.
-  bool no_guard_probe = false;
+  /// disabling the measured ASAP-only probe. Aligned past `use_t1`'s padding
+  /// so the parameter's printed bytes, which name the registered tests, keep
+  /// their layout.
+  alignas(4) bool no_guard_probe = false;
 };
+static_assert(sizeof(RandomCase) == 24, "test names print the case's bytes");
 
 class RandomFlow : public ::testing::TestWithParam<RandomCase> {};
 
@@ -41,12 +41,6 @@ TEST_P(RandomFlow, FlowInvariantsHold) {
   FlowParams p;
   p.clk.phases = c.phases;
   p.use_t1 = c.use_t1;
-  if (c.partition_jobs >= 2) {
-    p.opt.enable = true;
-    p.opt.partition_jobs = c.partition_jobs;
-    p.opt.partition_min_gates = 1;   // the 40-100 gate networks must partition
-    p.opt.partition_max_region = 24;
-  }
   if (c.no_guard_probe) {
     p.opt.enable = true;
     p.detection.guard_probe_max_gates = 0;  // incremental-anchor guard path
@@ -105,14 +99,14 @@ std::vector<RandomCase> random_cases() {
   for (uint64_t seed = 19; seed <= 24; ++seed) {
     cases.push_back({seed, 5 + static_cast<unsigned>(seed % 3), true});
   }
-  // Partition-parallel optimization (PR 6 path) under the same invariants;
-  // seeds divisible by 3 included so the physics oracle covers it too.
+  // The default flow (optimizer on, 4 phases, T1); seeds divisible by 3 run
+  // the physics oracle too.
   for (uint64_t seed = 25; seed <= 30; ++seed) {
-    cases.push_back({seed, 4, true, /*partition_jobs=*/2 + seed % 3});
+    cases.push_back({seed, 4, true});
   }
   // Schedule-aware guard on its incremental-anchor (probe-free) path.
   for (uint64_t seed = 31; seed <= 36; ++seed) {
-    cases.push_back({seed, 4, true, /*partition_jobs=*/0, /*no_guard_probe=*/true});
+    cases.push_back({seed, 4, true, /*no_guard_probe=*/true});
   }
   return cases;
 }
